@@ -5,16 +5,27 @@ translation and makes factorization meaningful: {0} is the unit, and since
 0 in Z forces Y to be a subset of Y + Z, both halves of any factorization of
 X are subsets of X.  That containment bound is what keeps the enumeration
 here exact and finite.
+
+The factorization search pins each factor's bounds first: Y + Z = X forces
+min Y + min Z = min X and max Y + max Z = max X.  Choosing a = min Y and
+b = max Y fixes c = min Z and d = max Z, puts {a, 0, b} in Y and {c, 0, d}
+in Z, and leaves only the y with y + c and y + d in X, and the z with
+z + a and z + b in X, as optional elements.  For each Y drawn from those,
+the Z are the exact covers of X by translates Y + z, held as bitmasks over
+X's element positions so that their width is |X| however wide the span.
+On intervals the cost follows the number of factorizations returned; on
+sparse atoms the pinned pools are nearly always empty.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-from .finset import FinSet, sumset
+from .finset import FinSet
 
-# Factorization enumeration is exponential in |X|; refuse past this size
-# unless the caller raises the cap explicitly.
+# Intervals near this size have millions of factorizations, and the search
+# runs at least as long as its output; refuse past this size unless the
+# caller raises the cap explicitly.
 DEFAULT_MAX_SIZE = 24
 
 
@@ -39,39 +50,91 @@ def as_zero_set(x: FinSet | Iterable[int]) -> ZeroSet:
     return ZeroSet(x)
 
 
-def _free_elems(x: ZeroSet) -> list[int]:
-    return [v for v in x if v != 0]
-
-
-def _from_mask(free: list[int], mask: int) -> ZeroSet:
-    # bit i of mask selects free[i]; 0 always included
-    chosen = [0]
-    i = 0
-    while mask:
-        if mask & 1:
-            chosen.append(free[i])
-        mask >>= 1
-        i += 1
-    return ZeroSet(chosen)
-
-
 def _check_cap(x: ZeroSet, max_size: int) -> None:
     if len(x) > max_size:
         raise ValueError(f"set has {len(x)} elements, above the enumeration cap {max_size}")
 
 
-def _cofactor_mask(x: ZeroSet, y: ZeroSet, free: list[int], pos: dict[int, int]) -> int:
-    """Mask of the largest Z with Y + Z inside x (0 excluded from the mask).
+def subsets_in_mask_order(free: list[int]) -> Iterator[list[int]]:
+    """Every sublist of free, ordered by the integer whose bit i selects free[i]."""
+    for mask in range(1 << len(free)):
+        yield [v for i, v in enumerate(free) if mask >> i & 1]
 
-    Any factorization Y + Z = x has Z below this mask, and Y plus the full
-    mask set reaching x is necessary and sufficient for one to exist.
+
+def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, list[int], int, list[tuple[int, int]]]]:
+    """Every factor Y != {0} of x with min Y <= min Z, and what its Z may hold.
+
+    Masks index x's elements by position, bit i for the i-th smallest, so
+    their width is |x| whatever the span.  Yields (Y, forced, cover,
+    candidates): forced is [c, 0, d], cover the mask of Y + forced, and
+    each candidate (z, mask) an optional z with Y + z inside x.  The Z with
+    Y + Z = x are exactly forced plus the candidates whose masks complete
+    cover to the full mask, and only Y for which some Z exists (forced plus
+    all candidates) are yielded.  Pairs with min Y > min Z are these swapped.
     """
-    xset = set(x.elems)
-    zm = 0
-    for z in x:
-        if z != 0 and all(v + z in xset for v in y):
-            zm |= 1 << pos[z]
-    return zm
+    elems = x.elems
+    lo, hi = elems[0], elems[-1]
+    pos = {v: 1 << i for i, v in enumerate(elems)}
+    full = (1 << len(elems)) - 1
+    for a in elems:
+        # only min Y <= min Z; the other half is the same pairs swapped
+        if 2 * a > lo:
+            break
+        c = lo - a
+        if c not in pos:
+            continue
+        for b in reversed(elems):
+            if b < 0:
+                break
+            d = hi - b
+            # (0, 0) and (lo, hi) make Y or Z the unit; a + d and b + c are
+            # the forced sums not already known to be min x, 0 or max x
+            if (a, b) in ((0, 0), (lo, hi)) or d not in pos or a + d not in pos or b + c not in pos:
+                continue
+            py = [y for y in elems if a < y < b and y and y + c in pos and y + d in pos]
+            pz = [z for z in elems if c < z < d and z and z + a in pos and z + b in pos]
+            cover = 0
+            for v in (a, 0, b):
+                cover |= pos[v + c] | pos[v] | pos[v + d]
+            cands = [(z, pos[z + a] | pos[z] | pos[z + b]) for z in pz]
+            # grow Y one pool element at a time, each subset once; a
+            # candidate z leaves for good once some y + z falls outside x
+            stack = [(0, (a, 0, b), cover, cands)]
+            while stack:
+                i, ys, cover, cands = stack.pop()
+                reach = cover
+                for _, m in cands:
+                    reach |= m
+                if reach == full:
+                    yield ZeroSet(ys), [c, 0, d], cover, cands
+                for j in range(i, len(py)):
+                    y = py[j]
+                    stack.append((
+                        j + 1,
+                        ys + (y,),
+                        cover | pos[y + c] | pos[y] | pos[y + d],
+                        [(z, m | pos[y + z]) for z, m in cands if y + z in pos],
+                    ))
+
+
+def _covers(cover: int, cands: list[tuple[int, int]], target: int) -> list[tuple[int, ...]]:
+    """Every subsequence of cands whose masks, with cover, OR to exactly target."""
+    suffix = [0] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cands[i][1]
+    out = []
+    stack = [(0, cover, ())]
+    while stack:
+        i, acc, zs = stack.pop()
+        if acc | suffix[i] != target:
+            continue
+        if i == len(cands):
+            out.append(zs)
+            continue
+        z, m = cands[i]
+        stack.append((i + 1, acc, zs))
+        stack.append((i + 1, acc | m, zs + (z,)))
+    return out
 
 
 def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[ZeroSet, ZeroSet]]:
@@ -80,25 +143,19 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
     Returns every unordered pair {Y, Z} of ZeroSets, both != {0}, with
     Y + Z = x; each pair appears once, lexicographically least element
     first, and the list of pairs is itself sorted lexicographically.
+    The search pins both factors' bounds (see the module docstring), so on
+    intervals its cost follows the number of pairs returned, and on sparse
+    atoms it is nearly constant.
     """
     x = as_zero_set(x)
     _check_cap(x, max_size)
-    free = _free_elems(x)
-    pos = {v: i for i, v in enumerate(free)}
+    target = (1 << len(x)) - 1
     found = []
-    for my in range(1, 1 << len(free)):
-        y = _from_mask(free, my)
-        zm = _cofactor_mask(x, y, free, pos)
-        if zm == 0 or sumset(y, _from_mask(free, zm)) != x:
-            continue
-        # walk submasks of zm; only s >= my so each unordered pair shows once
-        s = zm
-        while True:
-            if s >= my and sumset(y, (z := _from_mask(free, s))) == x:
-                found.append((y, z) if y.elems <= z.elems else (z, y))
-            if s == 0:
-                break
-            s = (s - 1) & zm
+    for y, fz, cover, cands in _pinned(x):
+        for zs in _covers(cover, cands, target):
+            z = ZeroSet([*fz, *zs])
+            if y.elems <= z.elems:
+                found.append((y, z))
     found.sort(key=lambda p: (p[0].elems, p[1].elems))
     return found
 
@@ -109,14 +166,7 @@ def is_atom(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> bool:
     if x == UNIT:
         return False
     _check_cap(x, max_size)
-    free = _free_elems(x)
-    pos = {v: i for i, v in enumerate(free)}
-    for my in range(1, 1 << len(free)):
-        y = _from_mask(free, my)
-        zm = _cofactor_mask(x, y, free, pos)
-        if zm and sumset(y, _from_mask(free, zm)) == x:
-            return False
-    return True
+    return next(_pinned(x), None) is None
 
 
 def candidates_with_bounds(lo: int, hi: int) -> list[ZeroSet]:
@@ -127,17 +177,5 @@ def candidates_with_bounds(lo: int, hi: int) -> list[ZeroSet]:
     """
     if lo > hi or lo > 0 or hi < 0:
         return []
-    forced = {lo, 0, hi}
     free = [v for v in range(lo + 1, hi) if v != 0]
-    out = []
-    for mask in range(1 << len(free)):
-        chosen = set(forced)
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                chosen.add(free[i])
-            m >>= 1
-            i += 1
-        out.append(ZeroSet(chosen))
-    return out
+    return [ZeroSet([lo, 0, hi, *sub]) for sub in subsets_in_mask_order(free)]

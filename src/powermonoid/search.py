@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .autos import Table
 from .finset import FinSet, sumset
-from .monoid import ZeroSet, factorizations, is_atom
+from .monoid import ZeroSet, factorizations, is_atom, subsets_in_mask_order
 
 MAX_WINDOW = 6
 
@@ -34,17 +34,7 @@ class WindowUniverse:
             raise ValueError(f"window radius must be in 1..{MAX_WINDOW}")
         self.m = m
         free = [v for v in range(-m, m + 1) if v != 0]
-        elements = []
-        for mask in range(1 << len(free)):
-            chosen = [0]
-            mm = mask
-            i = 0
-            while mm:
-                if mm & 1:
-                    chosen.append(free[i])
-                mm >>= 1
-                i += 1
-            elements.append(ZeroSet(chosen))
+        elements = [ZeroSet([0, *sub]) for sub in subsets_in_mask_order(free)]
         self.elements = tuple(elements)
         self.index = {e.elems: i for i, e in enumerate(elements)}
         self.los = tuple(e.min for e in elements)

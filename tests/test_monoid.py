@@ -86,6 +86,31 @@ def test_factorizations_match_oracle(x):
     assert factorizations(x) == _factor_oracle(x)
 
 
+# sparse sets (at most 8 elements), where pinning the factors' bounds
+# prunes hardest
+@given(zero_sets(min_value=-30, max_value=30, max_size=7))
+def test_sparse_factorizations_match_oracle(x):
+    assert factorizations(x) == _factor_oracle(x)
+
+
+# dilations k*S spread a few elements over a span far wider than any
+# value-indexed bitmask could hold
+@given(zero_sets(min_value=-12, max_value=12, max_size=6), st.integers(min_value=2**21, max_value=2**45))
+def test_dilated_factorizations_match_oracle(s, k):
+    x = as_zero_set(k * v for v in s.elems)
+    got = factorizations(x)
+    assert got == _factor_oracle(x)
+    assert got == [(as_zero_set(k * v for v in y.elems), as_zero_set(k * v for v in z.elems)) for y, z in factorizations(s)]
+    assert is_atom(x) == is_atom(s)
+
+
+def test_wide_sparse_sets():
+    assert is_atom(as_zero_set([0, 2**40]))
+    x = as_zero_set([0, 2**40, 2**41])
+    assert factorizations(x) == _factor_oracle(x) == [(as_zero_set([0, 2**40]), as_zero_set([0, 2**40]))]
+    assert not is_atom(x)
+
+
 @given(zero_sets(min_value=-8, max_value=8, max_size=7))
 def test_factorization_pairs_recompose(x):
     pairs = factorizations(x)
@@ -96,6 +121,31 @@ def test_factorization_pairs_recompose(x):
         assert set(z.elems) <= set(x.elems)
         assert y != UNIT and z != UNIT
         assert y.elems <= z.elems
+
+
+# both factors need nonzero elements to reach 12, so neither is the unit
+@given(
+    st.tuples(
+        zero_sets(min_value=-10, max_value=10, max_size=5),
+        zero_sets(min_value=-10, max_value=10, max_size=5),
+    ).filter(lambda p: 12 <= len(sumset_naive(*p)) <= 20)
+)
+def test_products_factor(pair):
+    y, z = pair
+    x = as_zero_set(sumset_naive(y, z).elems)
+    assert tuple(sorted((y, z), key=lambda s: s.elems)) in factorizations(x)
+    assert not is_atom(x)
+
+
+# frozen pair counts; intervals have the most factorizations for their size
+@pytest.mark.parametrize(
+    "lo, hi, count",
+    [(0, 7, 45), (0, 9, 190), (0, 11, 815), (0, 13, 3460), (0, 15, 14770), (-8, 7, 39467)],
+)
+def test_interval_factorization_counts(lo, hi, count):
+    x = as_zero_set(interval(lo, hi).elems)
+    assert len(factorizations(x)) == count
+    assert not is_atom(x)
 
 
 def test_candidates_with_bounds_worked_examples():

@@ -13,8 +13,9 @@ It provides:
   images, and the named verification suites behind the rigidity argument.
 - proofsteps: separating witnesses for same-bounds set pairs, driven by the
   first divergence of their run endpoint sequences.
-- search: exhaustive window automorphism search with an independent slow
-  oracle; only the identity and negation survive.
+- search: exhaustive window automorphism search, split into a symmetric
+  group on the isolated elements and a searched core, with an independent
+  slow oracle.
 - cli: the powermonoid command line.
 """
 

@@ -57,7 +57,8 @@ def from_runs(pairs) -> FinSet:
 
     The pairs must be valid as a run decomposition: each lo <= hi, and
     consecutive runs separated by a gap of at least 2 (touching or
-    overlapping runs would merge and are rejected).
+    overlapping runs would merge and are rejected).  Valid pairs list the
+    elements in ascending order, so only the two ends are range-checked.
     """
     pairs = [(int(lo), int(hi)) for lo, hi in pairs]
     if not pairs:
@@ -71,4 +72,4 @@ def from_runs(pairs) -> FinSet:
             raise ValueError(f"runs must be separated by gaps of at least 2, got ({lo},{hi}) after hi={prev_hi}")
         elems.extend(range(lo, hi + 1))
         prev_hi = hi
-    return FinSet(elems)
+    return FinSet._from_sorted(tuple(elems))

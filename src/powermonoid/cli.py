@@ -40,6 +40,11 @@ from .search import (
 # count is always exact regardless
 MAPS_LIMIT = 64
 
+# search-autos lists every survivor table.  From m = 4 on, the window has at
+# least 33 isolated sets, every permutation of them survives, and the core
+# search alone does not finish, so those windows are refused before any work.
+SEARCH_MAX_WINDOW = 3
+
 
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -204,6 +209,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if not 1 <= args.window <= MAX_WINDOW:
         return _fail_usage(f"--window must be between 1 and {MAX_WINDOW}")
+    if args.window > SEARCH_MAX_WINDOW:
+        return _fail_usage(
+            f"--window {args.window} is refused: its survivors include every permutation of "
+            f"at least 33 isolated sets, too many to list; search-autos takes windows "
+            f"1..{SEARCH_MAX_WINDOW}"
+        )
     if args.oracle and args.window > 2:
         return _fail_usage("--oracle is exhaustive over bijections; windows above 2 are not supported")
     u = build_window(args.window)
@@ -283,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search-autos", parents=[common], help="exhaustive window automorphism search")
-    p.add_argument("--window", type=int, required=True, help=f"window radius (1..{MAX_WINDOW})")
+    p.add_argument("--window", type=int, required=True, help=f"window radius (1..{SEARCH_MAX_WINDOW})")
     p.add_argument("--prune", choices=("on", "off"), default="on", help="invariant pruning")
     p.add_argument("--oracle", action="store_true", help="cross-check against the unpruned oracle")
     p.set_defaults(func=_cmd_search)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .boxing import bdim, runs
+from .boxing import bdim, from_runs, runs
 from .finset import FinSet, interval, make_set, sumset
 from .monoid import ZeroSet, as_zero_set
 
@@ -178,13 +178,6 @@ def _random_profile(rng: random.Random, min_runs: int) -> list[tuple[int, int]]:
         return [(a - shift, b - shift) for a, b in raw]
 
 
-def _materialize(profile: list[tuple[int, int]]) -> ZeroSet:
-    elems = []
-    for lo, hi in profile:
-        elems.extend(range(lo, hi + 1))
-    return as_zero_set(elems)
-
-
 def random_run_start_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
     """Seeded (A, B) pair diverging first at a run start, A oriented first."""
     while True:
@@ -198,7 +191,7 @@ def random_run_start_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
         delta = rng.randint(1, top - lo)
         b_profile = list(profile)
         b_profile[u] = (lo + delta, hi)
-        return _materialize(profile), _materialize(b_profile)
+        return as_zero_set(from_runs(profile)), as_zero_set(from_runs(b_profile))
 
 
 def random_run_end_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
@@ -214,4 +207,4 @@ def random_run_end_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
         delta = rng.randint(1, hi - bottom)
         b_profile = list(profile)
         b_profile[u] = (lo, hi - delta)
-        return _materialize(profile), _materialize(b_profile)
+        return as_zero_set(from_runs(profile)), as_zero_set(from_runs(b_profile))

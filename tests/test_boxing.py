@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import finsets
-from powermonoid import RunProfile, bdim, from_runs, interval, make_set, reflect, runs, translate
+from powermonoid import MAX_ELEMENT, RunProfile, bdim, from_runs, interval, make_set, reflect, runs, translate
 
 
 def test_worked_example():
@@ -43,6 +43,15 @@ def test_from_runs_validation():
         from_runs([(0, 1), (2, 4)])  # touching runs would merge
     with pytest.raises(ValueError):
         from_runs([(0, 3), (2, 5)])  # overlap
+
+
+def test_from_runs_checks_the_range_ends():
+    top = MAX_ELEMENT
+    assert from_runs([(-top, 1 - top), (top - 1, top)]).elems == (-top, 1 - top, top - 1, top)
+    with pytest.raises(OverflowError, match=str(top + 1)):
+        from_runs([(0, 0), (top - 1, top + 2)])
+    with pytest.raises(OverflowError, match=str(-top - 1)):
+        from_runs([(-top - 1, -top), (0, 0)])
 
 
 def test_run_profile_is_hashable_value():

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -177,6 +178,16 @@ def test_search_autos_prune_off():
 
 def test_search_autos_oracle_rejects_large_windows():
     assert run_cli("search-autos", "--window", "3", "--oracle").returncode == 2
+
+
+@pytest.mark.parametrize("m", ["4", "5", "6"])
+def test_search_autos_refuses_unlistable_windows(m):
+    start = time.perf_counter()
+    proc = run_cli("search-autos", "--window", m)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"--window {m} is refused" in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_byte_identical_output():

@@ -1,9 +1,13 @@
 """Core set arithmetic: construction, sumsets, k-fold sums, parsing."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import finsets
+from powermonoid import finset
 from powermonoid import (
     MAX_ELEMENT,
     FinSet,
@@ -38,12 +42,40 @@ def test_non_integer_elements_rejected():
         FinSet([0, True])
 
 
+def test_non_integer_rejected_whatever_the_order():
+    # a set-first shortcut would fold True into 1 and 1.0 into 1 unseen
+    for values in ([1, True], [True, 1], [1, 1.0], [0, 1.5], ["1", 1]):
+        with pytest.raises(TypeError):
+            FinSet(values)
+    # the per-element check still reports the first bad element in order
+    with pytest.raises(TypeError):
+        FinSet([1.5, MAX_ELEMENT + 1])
+    with pytest.raises(OverflowError, match=str(MAX_ELEMENT + 1)):
+        FinSet([MAX_ELEMENT + 1, 1.5])
+
+
+def test_int_subclasses_and_generators_accepted():
+    class Label(int):
+        pass
+
+    x = FinSet([Label(3), 1, Label(2)])
+    assert x == make_set([1, 2, 3])
+    assert FinSet(v for v in (3, 1, 2, 3)).elems == (1, 2, 3)
+    assert FinSet(range(5, 0, -1)).elems == (1, 2, 3, 4, 5)
+    assert FinSet({4, -4}).elems == (-4, 4)
+    with pytest.raises(ValueError):
+        FinSet(v for v in ())
+
+
 def test_magnitude_cap():
     FinSet([MAX_ELEMENT])
     with pytest.raises(OverflowError):
         FinSet([MAX_ELEMENT + 1])
     with pytest.raises(OverflowError):
         FinSet([-MAX_ELEMENT - 1])
+    # the error names the first out-of-range element in input order
+    with pytest.raises(OverflowError, match=str(MAX_ELEMENT + 2)):
+        FinSet([0, MAX_ELEMENT + 2, MAX_ELEMENT + 1])
 
 
 def test_interval_and_bounds():
@@ -91,8 +123,94 @@ def test_sumset_dual_path(x, y):
 @given(finsets(min_value=-(10**9), max_value=10**9, max_size=6),
        finsets(min_value=-(10**9), max_value=10**9, max_size=6))
 def test_sumset_dual_path_wide_span(x, y):
-    # spans here exceed the dense-mask limit, exercising the sparse path
+    # a few elements over a span of up to 4e9: a mask would cost far more
+    # than the pairs, so the hashed route answers
     assert sumset(x, y) == sumset_naive(x, y)
+
+
+class RouteSpy:
+    """Counts the dense route's shift-or passes; zero means the hashed route ran."""
+
+    def __init__(self, monkeypatch):
+        self.dense = 0
+        shift_or = finset._shift_or
+
+        def counted(*args):
+            self.dense += 1
+            return shift_or(*args)
+
+        monkeypatch.setattr(finset, "_shift_or", counted)
+
+    def sum(self, x, y, route):
+        before = self.dense
+        try:
+            return sumset(x, y)
+        finally:
+            assert ("dense" if self.dense > before else "hashed") == route
+
+
+@pytest.fixture
+def route(monkeypatch):
+    return RouteSpy(monkeypatch)
+
+
+@pytest.mark.parametrize("force", ["dense", "hashed"])
+@given(finsets(max_size=20), finsets(max_size=20))
+def test_each_route_matches_naive(force, x, y):
+    # pin the cost model so that one route answers every pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finset, "_PAIR_BITS", 2**64 if force == "dense" else 0)
+        assert RouteSpy(mp).sum(x, y, force) == sumset_naive(x, y)
+
+
+def test_dense_route_above_two_to_the_twenty(route):
+    rng = random.Random(7)
+    x = make_set(rng.sample(range(1 << 20), 4000))
+    y = make_set(rng.sample(range(-(1 << 20), 0), 300))
+    assert x.max + y.max - x.min - y.min > 1 << 20
+    assert route.sum(x, y, "dense") == sumset_naive(x, y)
+
+
+def test_sparse_wide_sum_takes_the_hashed_route(route):
+    rng = random.Random(8)
+    x = make_set(rng.sample(range(1 << 21), 300))
+    y = make_set(rng.sample(range(1 << 21), 300))
+    assert route.sum(x, y, "hashed") == sumset_naive(x, y)
+
+
+def test_sum_at_the_range_ends(route):
+    top, bottom = make_set([MAX_ELEMENT]), make_set([-MAX_ELEMENT])
+    assert route.sum(top, make_set([0]), "hashed") == top
+    assert route.sum(bottom, make_set([0]), "hashed") == bottom
+    near_top = interval(MAX_ELEMENT - 99, MAX_ELEMENT)
+    near_bottom = interval(-MAX_ELEMENT, -MAX_ELEMENT + 99)
+    assert route.sum(near_top, make_set([0, -1]), "dense") == sumset_naive(near_top, make_set([0, -1]))
+    for x, y, r in ((top, make_set([1]), "hashed"), (near_top, make_set([0, 1]), "dense")):
+        with pytest.raises(OverflowError, match=str(MAX_ELEMENT + 1)):
+            route.sum(x, y, r)
+    for x, y, r in ((bottom, make_set([-1]), "hashed"), (near_bottom, make_set([-1, 0]), "dense")):
+        with pytest.raises(OverflowError, match=str(-MAX_ELEMENT - 1)):
+            route.sum(x, y, r)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 160_000), (-160_000, -7), (-(2**40), 5000 - 2**40)])
+def test_interval_round_trips_through_the_mask(route, lo, hi):
+    x = interval(lo, hi)
+    s = route.sum(x, make_set([0]), "dense")
+    assert s.elems == tuple(range(lo, hi + 1))
+    assert s == sumset_naive(x, make_set([0]))
+
+
+def test_far_apart_pair_allocates_no_mask():
+    x, y = make_set([0, 2**40]), make_set([0, 2**41])
+    tracemalloc.start()
+    try:
+        s = sumset(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == sumset_naive(x, y) == make_set([0, 2**40, 2**41, 2**40 + 2**41])
+    assert peak < 1 << 20
 
 
 @given(finsets(), finsets(), finsets())

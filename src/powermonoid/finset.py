@@ -19,7 +19,7 @@ trusted constructor that range-checks only the two ends.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator
 from itertools import compress, repeat
@@ -110,7 +110,12 @@ class FinSet:
         return len(self._elems)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._elems
+        elems = self._elems
+        try:
+            i = bisect_left(elems, v)
+        except TypeError:
+            return v in elems
+        return i < len(elems) and elems[i] == v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinSet):
@@ -150,11 +155,16 @@ def bounds(x: FinSet) -> tuple[int, int]:
 
 def translate(x: FinSet, t: int) -> FinSet:
     """x + t elementwise."""
+    if type(t) is int and -MAX_ELEMENT <= x.min + t and x.max + t <= MAX_ELEMENT:
+        return FinSet._from_sorted(tuple(map(t.__add__, x.elems)))
+    # the validating constructor raises as for any other input
     return FinSet(v + t for v in x)
 
 
 def reflect(x: FinSet, t: int) -> FinSet:
     """t - x elementwise (reflection through t/2)."""
+    if type(t) is int and -MAX_ELEMENT <= t - x.max and t - x.min <= MAX_ELEMENT:
+        return FinSet._from_sorted(tuple(map(t.__sub__, reversed(x.elems))))
     return FinSet(t - v for v in x)
 
 

@@ -27,15 +27,19 @@ So the search runs only over the core, with the isolated elements pinned:
 it backtracks over images in ascending size order with unit propagation
 over the partial table; optional pruning restricts candidates to matching
 invariant data (bound transport once both unit-step images are fixed, atom
-status, factorization count).  Each core map is then expanded by every
-permutation of the isolated elements, and every reported table is verified
-against the full partial table, pruning or not.
+status, factorization count).  Each core map and every permutation of the
+isolated elements form one batch of tables, built as byte columns: a core
+column is constant, an isolated one a stride slice of the permutations.
+Every reported table is verified against the full partial table, pruning
+or not: the batch at once, one translate per pair head over the columns,
+and table by table should that check fail.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import permutations
+from itertools import combinations, permutations, product
+from math import factorial
 from operator import itemgetter
 
 from .autos import Table
@@ -52,11 +56,13 @@ _STATS_WINDOW = 4
 # below it while the window has at most 64 elements (m <= 3)
 _OUTSIDE = 255
 
+_NOT_A_BIJECTION = "not a bijection table over the window"
+
 
 class WindowUniverse:
     """All zero-anchored subsets of [[-m,m]] plus their partial Cayley table.
 
-    Treated as immutable once built: :func:`verify_window_map` caches its
+    Treated as immutable once built: the table and batch checks cache their
     coded copy of ``pair_sums`` on the universe.
     """
 
@@ -90,12 +96,9 @@ class WindowUniverse:
             for j in js[bisect_left(js, i):]:
                 pair_sums[(i, j)] = index[sumset(ei, elements[j]).elems]
         self.pair_sums = pair_sums
-        if m <= _STATS_WINDOW:
-            self.atoms = tuple(is_atom(e) for e in elements)
-            self.nfacts = tuple(len(factorizations(e)) for e in elements)
-        else:
-            self.atoms = None
-            self.nfacts = None
+        small = m <= _STATS_WINDOW
+        self.atoms = tuple(map(is_atom, elements)) if small else None
+        self.nfacts = tuple(len(factorizations(e)) for e in elements) if small else None
         self._check = None
 
 
@@ -110,37 +113,32 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
     for every in-window pair (i, j) with sum k.  Raises ValueError unless
     table is a permutation of the window's indices.
     """
-    check = u._check
-    if check is None:
-        check = u._check = _table_check(u)
-    return check(tuple(table))
+    return _checks(u)[0](tuple(table))
 
 
-def _table_check(u: WindowUniverse):
-    """The exact test behind verify_window_map, coded once per universe.
+def _checks(u: WindowUniverse):
+    """The exact tests of one table and of one column batch, coded once.
 
-    Windows of up to 64 elements (n = 4^m divides 256) are coded in bytes,
-    so one table costs a few dozen C-level calls.  Row a of the coded table
-    holds the sum of a and b at offset b, or _OUTSIDE.  Each in-window pair
-    (a, b) with a <= b is listed under its head a, and the heads are taken
-    256 / n at a time: the image rows t[a] of one such group, concatenated,
-    form one 256-byte translate table.  Translating t[b] + n*q, for a pair
-    listed under the q-th head of its group, through that table reads the
-    coded sum of the image pair, which must equal t applied to the pair's
-    sum.  Larger windows look every image pair up in a dict of ordered
-    pairs.
+    Up to 64 elements, row v of the coded table holds the sum of v and b at
+    offset b and _OUTSIDE elsewhere, so a translate through it reads sums
+    with v.  The in-window pairs (a, b) -> k are grouped by their head a (16
+    heads at m=3), and a table t passes iff the partners' images translated
+    through row t[a] equal the sums' images, head by head.  A batch of
+    tables is given as columns, cols[i] holding every table's image of i;
+    a head whose column is constant v is checked for the whole batch with
+    one translate through row v.  The batch check is True only if every
+    table is a bijection and passes every pair.  From 256 elements, tables
+    are checked alone, looking each image pair up in a dict.
     """
+    if u._check is not None:
+        return u._check
     n = len(u.elements)
     entries = sorted(u.pair_sums.items())
-    sums = [k for _, k in entries]
-
-    def not_a_bijection():
-        return ValueError("not a bijection table over the window")
 
     if n >= _OUTSIDE:
         firsts = itemgetter(*(i for (i, _), _ in entries))
         seconds = itemgetter(*(j for (_, j), _ in entries))
-        image_sums = itemgetter(*sums)
+        image_sums = itemgetter(*(k for _, k in entries))
         ordered = {}
         for (i, j), k in entries:
             ordered[(i, j)] = ordered[(j, i)] = k
@@ -152,51 +150,63 @@ def _table_check(u: WindowUniverse):
             except TypeError:
                 permutes = False
             if not permutes:
-                raise not_a_bijection()
+                raise ValueError(_NOT_A_BIJECTION)
             return tuple(map(ordered.get, zip(firsts(t), seconds(t)))) == image_sums(t)
 
-        return check_wide
+        u._check = check_wide, None
+        return u._check
 
-    coded = [bytearray([_OUTSIDE]) * n for _ in range(n)]
-    for (i, j), k in entries:
-        coded[i][j] = coded[j][i] = k
-    rows = [bytes(row) for row in coded]
-    per_table = 256 // n
-    heads = sorted({i for (i, _), _ in entries})
-    slot = {i: s for s, i in enumerate(heads)}
-    heads = bytes(heads)
-    # a pair under the q-th head of its group reads row q of the table
-    partners = bytes(j for (_, j), _ in entries)
-    offsets = int.from_bytes(bytes(n * (slot[i] % per_table) for (i, _), _ in entries), "little")
-    group_of = [slot[i] // per_table for (i, _), _ in entries]
-    starts = [group_of.index(g) for g in range(group_of[-1] + 1)] + [len(entries)]
-    pair_groups = [slice(a, b) for a, b in zip(starts, starts[1:])]
-    row_groups = [slice(256 * g, 256 * (g + 1)) for g in range(len(pair_groups))]
-    row_pad = bytes(-len(heads) * n % 256)
-    sums = bytes(sums)
-    # completes t to a translate table that keeps _OUTSIDE
+    coded = [bytearray([_OUTSIDE]) * 256 for _ in range(n)]
+    grouped: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), k in entries:
+        coded[a][b] = coded[b][a] = k
+        grouped.setdefault(a, []).append((b, k))
+    rows = list(map(bytes, coded))
+    heads = [(a, bytes(b for b, _ in pairs), bytes(k for _, k in pairs)) for a, pairs in grouped.items()]
+    # completes t to a translate table
     above = bytes(range(n, 256))
     indices = bytes(range(n))
     join = b"".join
-    translate = bytes.translate
-    size = len(entries)
 
-    def check_bytes(t: tuple) -> bool:
+    def check_table(t: tuple) -> bool:
         try:
             tb = bytes(t)
         except (TypeError, ValueError):
-            raise not_a_bijection() from None
+            raise ValueError(_NOT_A_BIJECTION) from None
         # n bytes that leave nothing of 0..n-1 behind are a permutation
         if len(tb) != n or indices.translate(None, tb):
-            raise not_a_bijection()
+            raise ValueError(_NOT_A_BIJECTION)
         tb += above
-        image_rows = join(map(rows.__getitem__, heads.translate(tb))) + row_pad
-        keys = (int.from_bytes(partners.translate(tb), "little") + offsets).to_bytes(size, "little")
-        image = join(map(translate, map(keys.__getitem__, pair_groups),
-                         map(image_rows.__getitem__, row_groups)))
-        return image == sums.translate(tb)
+        for a, partners, sums in heads:
+            if partners.translate(tb).translate(rows[tb[a]]) != sums.translate(tb):
+                return False
+        return True
 
-    return check_bytes
+    def check_batch(cols: list[bytes]) -> bool:
+        size = len(cols[0])
+        if len(cols) != n or any(len(c) != size for c in cols):
+            return False
+        fixed = {i: c[0] for i, c in enumerate(cols) if c.count(c[:1]) == size}
+        # the constant values are distinct and below n iff each removes one index
+        free = indices.translate(None, bytes(fixed.values()))
+        if len(free) != n - len(fixed):
+            return False
+        varying = [c for i, c in enumerate(cols) if i not in fixed]
+        if any(c.translate(None, free) for c in varying):
+            return False
+        # the values are below 128, so with 0x80 set in every byte of x ^ y no
+        # byte borrows when 1 is subtracted from each, and 0x80 falls only
+        # where x and y agree
+        low = int.from_bytes(b"\x01" * size, "big")
+        high = low << 7
+        words = [int.from_bytes(c, "big") for c in varying]
+        if any((((x ^ y) | high) - low) & high != high for x, y in combinations(words, 2)):
+            return False
+        return all(a in fixed and join(map(cols.__getitem__, partners)).translate(rows[fixed[a]])
+                   == join(map(cols.__getitem__, sums)) for a, partners, sums in heads)
+
+    u._check = check_table, check_batch
+    return u._check
 
 
 def identity_table(u: WindowUniverse) -> tuple[int, ...]:
@@ -204,18 +214,12 @@ def identity_table(u: WindowUniverse) -> tuple[int, ...]:
 
 
 def negation_table(u: WindowUniverse) -> tuple[int, ...]:
-    out = []
-    for e in u.elements:
-        out.append(u.index[tuple(sorted(-v for v in e))])
-    return tuple(out)
+    return tuple(u.index[tuple(sorted(-v for v in e))] for e in u.elements)
 
 
 def as_table_spec(u: WindowUniverse, table: tuple[int, ...]) -> Table:
     """Index table rendered as an explicit source -> image Table spec."""
-    return Table(
-        (ZeroSet(u.elements[i]), ZeroSet(u.elements[k]))
-        for i, k in enumerate(table)
-    )
+    return Table((ZeroSet(u.elements[i]), ZeroSet(u.elements[k])) for i, k in enumerate(table))
 
 
 def isolated_elements(u: WindowUniverse) -> tuple[int, ...]:
@@ -293,9 +297,7 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
             phi = u.his[td] * xm + u.his[tu] * xp
             cands = [t for t in cands if u.los[t] == plo and u.his[t] == phi]
         if u.atoms is not None:
-            cands = [t for t in cands if u.atoms[t] == u.atoms[i]]
-        if u.nfacts is not None:
-            cands = [t for t in cands if u.nfacts[t] == u.nfacts[i]]
+            cands = [t for t in cands if u.atoms[t] == u.atoms[i] and u.nfacts[t] == u.nfacts[i]]
         return cands
 
     def dfs(pos: int) -> None:
@@ -322,23 +324,38 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tup
     """All window automorphisms, as image-index tables sorted ascending.
 
     By the module lemma these are the core automorphisms composed with
-    every permutation of the isolated elements.  Every reported table is
-    verified with :func:`verify_window_map`, pruning or not.
+    every permutation of the isolated elements.  Each core map gives one
+    batch of tables, built as columns, and every table is verified by
+    :func:`_window_maps`, pruning or not.  Windows of 256 or more elements
+    (m >= 4) are refused: they have at least 33 isolated elements, so at
+    least 33! tables.
     """
-    n = len(u.elements)
+    if len(u.elements) >= _OUTSIDE:
+        raise ValueError("windows above m=3 have at least 33! automorphisms, too many to list")
     iso = isolated_elements(u)
-    # a core map fixes the isolated elements, so writing p[q] at iso[q]
-    # composes it with the permutation p
-    slot = {x: n + q for q, x in enumerate(iso)}
-    spread = itemgetter(*(slot.get(i, i) for i in range(n)))
-    results = [
-        table
-        for core in core_automorphisms(u, prune)
-        for table in map(spread, map(core.__add__, permutations(iso)))
-        if verify_window_map(u, table)
-    ]
+    size = factorial(len(iso))
+    # row r of the blob is the r-th permutation of iso; the column of iso[q]
+    # holds its q-th entry in every row
+    blob = b"".join(map(bytes, permutations(iso)))
+    moved = {x: blob[q::len(iso)] for q, x in enumerate(iso)}
+    results = []
+    for core in core_automorphisms(u, prune):
+        results += _window_maps(u, [moved.get(i, bytes((v,)) * size) for i, v in enumerate(core)])
     results.sort()
     return results
+
+
+def _window_maps(u: WindowUniverse, cols: list[bytes]) -> list[tuple[int, ...]]:
+    """The tables of one column batch that are window maps, in row order.
+
+    cols[i] holds the image of element i in every table.  The batch is
+    checked column by column at once; if that check fails, each table is
+    verified on its own with :func:`verify_window_map`.
+    """
+    tables = zip(*cols)
+    if _checks(u)[1](cols):
+        return list(tables)
+    return [t for t in tables if verify_window_map(u, t)]
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
@@ -350,8 +367,6 @@ def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
     tables that pass full verification.  Exhaustive only while the window is
     tiny.
     """
-    from itertools import permutations, product
-
     if u.m > 2:
         raise ValueError("oracle enumeration is only feasible for m <= 2")
     n = len(u.elements)
@@ -362,57 +377,41 @@ def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
         bclass.setdefault((u.los[i], u.his[i]), []).append(i)
 
     def subsig(i: int) -> tuple:
-        return (u.atoms[i], u.nfacts[i] if u.nfacts is not None else 0)
+        return (u.atoms[i], u.nfacts[i])
+
+    def choices(t_up: int, t_down: int) -> list[list[dict[int, int]]] | None:
+        """Per bucket, its maps onto the images that fix the step images."""
+        # each bounds class must go onto its own class of transported bounds
+        targets: dict[tuple[int, int], list[int]] = {}
+        for (lo, hi), members in bclass.items():
+            key = (u.los[t_down] * -lo + u.los[t_up] * hi, u.his[t_down] * -lo + u.his[t_up] * hi)
+            if key in targets or len(bclass.get(key, ())) != len(members):
+                return None
+            targets[key] = members
+        # refine by invariant sub-signature, pinning the step images
+        out = []
+        for key, members in targets.items():
+            by_sig: dict[tuple, tuple[list[int], list[int]]] = {}
+            for i in members:
+                by_sig.setdefault(subsig(i), ([], []))[0].append(i)
+            for t in bclass[key]:
+                by_sig.setdefault(subsig(t), ([], []))[1].append(t)
+            if any(len(src) != len(dst) for src, dst in by_sig.values()):
+                return None
+            for src, dst in by_sig.values():
+                maps = (dict(zip(src, perm)) for perm in permutations(dst))
+                out.append([m for m in maps if m.get(i_up, t_up) == t_up and m.get(i_down, t_down) == t_down])
+        return out
 
     results = set()
-    for t_up in range(n):
-        if u.sizes[t_up] == 1:
+    for t_up, t_down in product(range(n), repeat=2):
+        if u.sizes[t_up] == 1 or u.sizes[t_down] == 1 or (buckets := choices(t_up, t_down)) is None:
             continue
-        for t_down in range(n):
-            if u.sizes[t_down] == 1:
-                continue
-            claimed: dict[tuple[int, int], list[int]] = {}
-            ok = True
-            pairs = []
-            for (lo, hi), members in bclass.items():
-                plo = u.los[t_down] * -lo + u.los[t_up] * hi
-                phi = u.his[t_down] * -lo + u.his[t_up] * hi
-                tgt = bclass.get((plo, phi))
-                if tgt is None or len(tgt) != len(members) or (plo, phi) in claimed:
-                    ok = False
-                    break
-                claimed[(plo, phi)] = tgt
-                pairs.append((members, tgt))
-            if not ok:
-                continue
-            # refine by invariant sub-signature, pinning the step images
-            buckets = []
-            for members, tgt in pairs:
-                by_sig: dict[tuple, tuple[list[int], list[int]]] = {}
-                for i in members:
-                    by_sig.setdefault(subsig(i), ([], []))[0].append(i)
-                for t in tgt:
-                    by_sig.setdefault(subsig(t), ([], []))[1].append(t)
-                if any(len(src) != len(dst) for src, dst in by_sig.values()):
-                    ok = False
-                    break
-                buckets.extend(by_sig.values())
-            if not ok:
-                continue
-            choices = []
-            for src, dst in buckets:
-                perms = []
-                for perm in permutations(dst):
-                    m = dict(zip(src, perm))
-                    if m.get(i_up, t_up) != t_up or m.get(i_down, t_down) != t_down:
-                        continue
-                    perms.append(m)
-                choices.append(perms)
-            for combo in product(*choices):
-                table = [None] * n
-                for m in combo:
-                    for i, t in m.items():
-                        table[i] = t
-                if verify_window_map(u, table):
-                    results.add(tuple(table))
+        for combo in product(*buckets):
+            table = [None] * n
+            for m in combo:
+                for i, t in m.items():
+                    table[i] = t
+            if verify_window_map(u, table):
+                results.add(tuple(table))
     return sorted(results)

@@ -190,6 +190,17 @@ def test_search_autos_refuses_unlistable_windows(m):
     assert f"--window {m} is refused" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("lemma", ["lemma21", "lemma23"])
+@pytest.mark.parametrize("samples", ["-5", "0", "50001"])
+def test_verify_refuses_sample_counts_out_of_range(lemma, samples):
+    start = time.perf_counter()
+    proc = run_cli("verify", lemma, "--samples", samples)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--samples must be between 1 and 50000" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def test_byte_identical_output():
     for args in (
         ("verify", "lemma21", "--seed", "5", "--samples", "30"),

@@ -99,6 +99,31 @@ def test_translate_and_reflect():
     assert reflect(x, 0) == make_set([-3, -2, 0])
 
 
+def test_translate_and_reflect_validate_like_the_constructor():
+    # the trusted route covers int shifts inside the range; anything else is
+    # built by the validating constructor and raises as it does
+    top = make_set([MAX_ELEMENT - 2, MAX_ELEMENT - 1, MAX_ELEMENT])
+    bottom = make_set([-MAX_ELEMENT, -MAX_ELEMENT + 1, 0, MAX_ELEMENT])
+    for build, x, t, values in (
+        (translate, top, 2, (v + 2 for v in top)),
+        (reflect, bottom, MAX_ELEMENT, (MAX_ELEMENT - v for v in bottom)),
+        (translate, top, 0.5, (v + 0.5 for v in top)),
+        (reflect, bottom, -1, (-1 - v for v in bottom)),
+    ):
+        with pytest.raises((OverflowError, TypeError)) as trusted:
+            build(x, t)
+        with pytest.raises(trusted.type) as validated:
+            make_set(values)
+        assert str(trusted.value) == str(validated.value)
+    assert translate(top, -MAX_ELEMENT).elems == (-2, -1, 0)
+    assert reflect(bottom, 0).elems == (-MAX_ELEMENT, 0, MAX_ELEMENT - 1, MAX_ELEMENT)
+
+
+@given(finsets(), st.one_of(st.integers(-50, 50), st.floats(-50, 50), st.text(max_size=2), st.none()))
+def test_membership_matches_the_element_tuple(x, v):
+    assert (v in x) == (v in x.elems)
+
+
 def test_set_operators_and_hash():
     x, y = make_set([-1, 0, 2]), make_set([0, 1, 3])
     assert x + y == sumset(x, y)

@@ -185,3 +185,11 @@ def test_enumeration_cap():
     small = as_zero_set([-1, 0, 1, 2])
     with pytest.raises(ValueError, match="cap"):
         factorizations(small, max_size=3)
+
+
+def test_zero_set_from_a_finset_keeps_its_elements():
+    x = make_set([-3, 0, 5])
+    z = ZeroSet(x)
+    assert type(z) is ZeroSet and z.elems == x.elems == ZeroSet([5, 0, -3]).elems
+    with pytest.raises(ValueError, match="does not contain 0"):
+        ZeroSet(make_set([-3, 5]))

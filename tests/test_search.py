@@ -20,7 +20,7 @@ from powermonoid import (
     verify_window_map,
     window_survivors_oracle,
 )
-from powermonoid.search import core_automorphisms, isolated_elements
+from powermonoid.search import WindowUniverse, core_automorphisms, isolated_elements
 
 # sha256 of repr(find_window_automorphisms(build_window(m))), from the
 # search that walked and verified every leaf
@@ -275,14 +275,150 @@ def test_every_reported_table_is_verified(monkeypatch):
     seen = []
     rejected = negation_table(u)
 
-    def recording(universe, table):
-        seen.append(table)
-        return table != rejected
+    # find verifies each core map's batch of tables through _window_maps
+    def recording(universe, cols):
+        tables = list(zip(*cols))
+        seen.extend(tables)
+        return [t for t in tables if t != rejected]
 
-    monkeypatch.setattr(search, "verify_window_map", recording)
+    monkeypatch.setattr(search, "_window_maps", recording)
     got = search.find_window_automorphisms(u)
     assert len(got) == 3 and rejected not in got
     assert set(got) <= set(seen)
+
+
+def _verdict(u, t):
+    try:
+        return verify_window_map(u, t)
+    except ValueError:
+        return "not a bijection"
+
+
+def _columns(rows):
+    """The tables in rows as a column batch: column i holds every image of i."""
+    return [bytes(col) for col in zip(*rows)]
+
+
+def _naive_verdict(naive, t):
+    if sorted(t) != list(range(len(t))):
+        return "not a bijection"
+    return _naive_verify(naive, t)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_batch_check_with_one_bad_row(m, monkeypatch):
+    import powermonoid.search as search
+
+    u = build_window(m)
+    naive = _naive_pair_sums(u)
+    rng = random.Random(m)
+    iso = isolated_elements(u)
+    unit = u.index[(0,)]
+    heads = {a for a, _ in u.pair_sums}
+    core, *others = core_automorphisms(u)
+    other = next(c for c in others if any(c[a] != core[a] for a in heads))
+    perms = rng.sample(list(itertools.permutations(iso)), min(200, math.factorial(len(iso))))
+
+    def composed(c, p):
+        return tuple(dict(zip(iso, p)).get(i, v) for i, v in enumerate(c))
+
+    def replaced(t, i, v):
+        return t[:i] + (v,) + t[i + 1:]
+
+    good = [composed(core, p) for p in perms]
+    last = good[-1]
+    # a core partner of a non-unit head that heads no pair itself
+    x = next(b for a, b in u.pair_sums if a != unit and b not in heads and b not in iso)
+    cases = {
+        "breaks a pair": (_swapped(last, x, iso[0]), False),
+        "moves a head": (_swapped(last, max(heads), iso[0]), False),
+        "repeats an isolated value": (replaced(last, iso[0], last[iso[1]]), "not a bijection"),
+        "repeats a core value": (replaced(last, iso[0], last[x]), "not a bijection"),
+        "leaves the window": (replaced(last, iso[0], len(last)), "not a bijection"),
+        "head column not constant": (composed(other, perms[-1]), True),
+    }
+
+    calls = []
+    real = search.verify_window_map
+
+    def counting(universe, t):
+        calls.append(t)
+        return real(universe, t)
+
+    monkeypatch.setattr(search, "verify_window_map", counting)
+    assert search._checks(u)[1](_columns(good))
+    assert search._window_maps(u, _columns(good)) == good and not calls
+    for name, (bad, expected) in cases.items():
+        rows = good[:-1] + [bad]
+        verdicts = [_naive_verdict(naive, t) for t in rows]
+        assert verdicts == [True] * (len(rows) - 1) + [expected], name
+        assert [_verdict(u, t) for t in rows] == verdicts, name
+        cols = _columns(rows)
+        assert not search._checks(u)[1](cols), name
+        # a batch of one has only constant columns, and its check is exact
+        assert search._checks(u)[1](_columns([bad])) == (expected is True), name
+        calls.clear()
+        if expected == "not a bijection":
+            with pytest.raises(ValueError, match="bijection"):
+                search._window_maps(u, cols)
+        else:
+            assert search._window_maps(u, cols) == [t for t, v in zip(rows, verdicts) if v], name
+            assert calls == rows, f"{name}: the fallback verifies every table of the batch"
+
+
+def _stand_in_universe(n, pair_sums):
+    """A universe of n elements with an arbitrary partial table.
+
+    The verifiers read only the element count and the pair table, so this
+    checks them on tables no window has.
+    """
+    u = object.__new__(WindowUniverse)
+    u.elements = tuple(range(n))
+    u.pair_sums = pair_sums
+    u._check = None
+    return u
+
+
+def test_verifiers_match_naive_on_random_partial_tables():
+    import powermonoid.search as search
+
+    rng = random.Random(20261018)
+    n = 6
+    perms = list(itertools.permutations(range(n)))
+    accepted = 0
+    for _ in range(40):
+        table = {pair: rng.randrange(n)
+                 for pair in itertools.combinations_with_replacement(range(n), 2) if rng.random() < 0.2}
+        u = _stand_in_universe(n, table)
+        verdicts = {t: _naive_verify(table, t) for t in perms}
+        assert {t: verify_window_map(u, t) for t in perms} == verdicts
+        heads = sorted({a for a, _ in table})
+        # batches with every head column constant, then with the last head's varying
+        for keyed in (heads, heads[:-1]):
+            batches = {}
+            for t in perms:
+                batches.setdefault(tuple(t[h] for h in keyed), []).append(t)
+            for batch in batches.values():
+                cols = _columns(batch)
+                passing = [t for t in batch if verdicts[t]]
+                assert search._window_maps(u, cols) == passing
+                if keyed is heads:
+                    assert search._checks(u)[1](cols) == (passing == batch)
+                    accepted += passing == batch
+    assert accepted > 0
+
+
+def test_batch_check_never_assumes_a_head_column_constant():
+    import powermonoid.search as search
+
+    # head 1 occurs in no pair but its own, and 4 and 5 occur in none
+    u = _stand_in_universe(6, {(1, 2): 3})
+    rows = [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)]
+    assert search._checks(u)[1](_columns(rows))
+    # the last row sends 0 and 1 to 0; its one pair would hold if the head
+    # column were read from the first row
+    rows[-1] = (0, 0, 2, 3, 5, 4)
+    assert not search._checks(u)[1](_columns(rows))
 
 
 def test_prune_matches_no_prune_and_oracle():
@@ -291,6 +427,12 @@ def test_prune_matches_no_prune_and_oracle():
         pruned = find_window_automorphisms(u, prune=True)
         assert pruned == find_window_automorphisms(u, prune=False)
         assert pruned == window_survivors_oracle(u)
+
+
+def test_find_refuses_windows_above_three():
+    # 33 isolated elements at m=4: at least 33! tables
+    with pytest.raises(ValueError, match="33!"):
+        find_window_automorphisms(build_window(4))
 
 
 def test_oracle_window_cap():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -8,6 +9,8 @@ import time
 
 import pytest
 from jsonschema import Draft202012Validator
+
+from powermonoid import cli
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "schemas" / "cli-output.schema.json")
@@ -225,3 +228,91 @@ def test_plain_output_of_verify():
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     assert all(line.endswith(": pass") for line in lines)
+
+
+_DIVERGENT = ("--A", "{-2,0,3,5}", "--B", "{-2,0,2,5}")
+_PADDED = ("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "5")
+
+# (argv, exit code, stdout, stderr) of cli.main, recorded from the command
+# line as it stood before its output moved into one renderer.  A stdout
+# written "sha256:<hex>" pins a long output by its digest.
+FROZEN = [
+    (("sum", "{-1,0,2}", "{0,1,3}"), 0, '{"op":"sum","result":"{-1,0,1,2,3,5}"}\n', ""),
+    (("sum", "--output", "plain", "{-1,0,2}", "{0,1,3}"), 0, "{-1,0,1,2,3,5}\n", ""),
+    (("kfold", "{-1,0,2}", "2"), 0, '{"op":"kfold","result":"{-2,-1,0,1,2,4}"}\n', ""),
+    (("kfold", "--output", "plain", "{-1,0,2}", "2"), 0, "{-2,-1,0,1,2,4}\n", ""),
+    (("bdim", "{-5,-4,-2,0,1,5,6,7}"), 0, '{"op":"bdim","result":4}\n', ""),
+    (("bdim", "--output", "plain", "{-5,-4,-2,0,1,5,6,7}"), 0, "4\n", ""),
+    (("runs", "{-5,-4,-2,0,1,5,6,7}"), 0,
+     '{"op":"runs","result":[[-5,-4],[-2,-2],[0,1],[5,7]]}\n', ""),
+    (("runs", "--output", "plain", "{-5,-4,-2,0,1,5,6,7}"), 0, "[[-5,-4],[-2,-2],[0,1],[5,7]]\n", ""),
+    (("apply", "reversal:negation", "{-1,0,2}"), 0, '{"op":"apply","result":"{-1,0,2}"}\n', ""),
+    (("apply", "--output", "plain", "negation", "{-1,0,2}"), 0, "{-2,0,1}\n", ""),
+    (("factor", "{-1,0,2}"), 0, '{"set":"{-1,0,2}","atom":true,"factorizations":[]}\n', ""),
+    (("factor", "--output", "plain", "{-1,0,2}"), 0, "set: {-1,0,2}\natom: true\n", ""),
+    (("factor", "{-1,0,1,2}"), 0,
+     '{"set":"{-1,0,1,2}","atom":false,"factorizations":'
+     '[["{-1,0}","{0,1,2}"],["{-1,0}","{0,2}"],["{-1,0,1}","{0,1}"]]}\n', ""),
+    (("factor", "--output", "plain", "{-1,0,1,2}"), 0,
+     "set: {-1,0,1,2}\natom: false\n{-1,0} + {0,1,2}\n{-1,0} + {0,2}\n{-1,0,1} + {0,1}\n", ""),
+    (("verify", "lemma21", "--samples", "30"), 0,
+     '{"lemma":"lemma21","checks":['
+     '{"name":"absorption-identity-random","pass":true,"witness":{"seed":0,"samples":30,"failures":0}},'
+     '{"name":"bound-transport-identity","pass":true,"witness":{"seed":0,"samples":30,"failures":0}},'
+     '{"name":"bound-transport-negation","pass":true,"witness":{"seed":0,"samples":30,"failures":0}}]}\n',
+     ""),
+    (("verify", "lemma21", "--samples", "30", "--output", "plain"), 0,
+     "absorption-identity-random: pass\nbound-transport-identity: pass\nbound-transport-negation: pass\n",
+     ""),
+    (("verify", "lemma22"), 0,
+     '{"lemma":"lemma22","checks":['
+     '{"name":"projection-pins-unit-steps","pass":true,'
+     '"witness":{"bound":10,"solutions":240,"projection":[[0,1],[1,0]]}},'
+     '{"name":"down-branch-forces-unit-image","pass":true,"witness":{"tuples":120}},'
+     '{"name":"up-branch-forces-unit-image","pass":true,"witness":{"tuples":120}}]}\n', ""),
+    (("verify", "lemma22", "--output", "plain"), 0,
+     "projection-pins-unit-steps: pass\ndown-branch-forces-unit-image: pass\n"
+     "up-branch-forces-unit-image: pass\n", ""),
+    (("verify", "lemma23", "--samples", "30"), 0,
+     "sha256:674440a891ca49d8c16d835675cbb5c7b6915ec9b6e00d5051b4ed3be9f276b8", ""),
+    (("verify", "lemma23", "--samples", "30", "--output", "plain"), 0,
+     "bounded-candidates-and-atom: pass\ninterval-generation: pass\ninterval-collapse-contrast: pass\n"
+     "negation-conjugation-fixes-anchored: pass\n", ""),
+    (("verify", "theorem", "--case", "1", *_DIVERGENT), 0,
+     '{"case":1,"swapped":true,"helper":"{0,1}","lhs":"{-2,-1,0,1,2,3,5,6}",'
+     '"rhs":"{-2,-1,0,1,3,4,5,6}","witness_point":2,"pass":true}\n', ""),
+    (("verify", "theorem", "--case", "1", *_DIVERGENT, "--output", "plain"), 0,
+     "case: 1\nswapped: true\nhelper: {0,1}\nlhs: {-2,-1,0,1,2,3,5,6}\nrhs: {-2,-1,0,1,3,4,5,6}\n"
+     "witness_point: 2\npass: true\n", ""),
+    (("verify", "theorem", *_PADDED), 1,
+     '{"case":2,"swapped":false,"error":"c below the minimum padding width 11","pass":false}\n', ""),
+    (("verify", "theorem", *_PADDED, "--output", "plain"), 1,
+     "error: c below the minimum padding width 11\npass: false\n", ""),
+    (("search-autos", "--window", "2", "--oracle"), 0,
+     "sha256:2fb91d94942072556d06ec94795eb53af162c05e9058b0669a47d5a1e8eed05f", ""),
+    (("search-autos", "--window", "2", "--oracle", "--output", "plain"), 0,
+     "m: 2\nsurvivors: 4\noracle_survivors: 4\noracle_matches: true\n", ""),
+    (("search-autos", "--window", "3"), 0,
+     "sha256:ac3ccb2db623c6240ef6715bfe8f865064f051cd7ef6d62cbe7b71854038951c", ""),
+    (("search-autos", "--window", "3", "--output", "plain"), 0,
+     "m: 3\nsurvivors: 645120\nmaps_truncated: true\n", ""),
+    (("verify", "lemma21", "--samples", "0"), 2, "", "error: --samples must be between 1 and 50000\n"),
+    (("verify", "theorem", "--case", "1"), 2, "", "error: verify theorem requires --A and --B\n"),
+    (("search-autos", "--window", "4"), 2, "",
+     "error: --window 4 is refused: its survivors include every permutation of at least 33 "
+     "isolated sets, too many to list; search-autos takes windows 1..3\n"),
+    (("search-autos", "--window", "3", "--oracle"), 2, "",
+     "error: --oracle is exhaustive over bijections; windows above 2 are not supported\n"),
+    (("sum", "{-1,0,2}", "bad"), 2, "",
+     "error: expected a set literal or LO..HI interval, got 'bad'\n"),
+    (("apply", "rotation", "{0,1}"), 2, "", "error: unknown automorphism name: 'rotation'\n"),
+]
+
+
+def test_stdout_frozen(capsys):
+    for argv, code, stdout, stderr in FROZEN:
+        assert cli.main(list(argv)) == code, argv
+        out, err = capsys.readouterr()
+        if stdout.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert (out, err) == (stdout, stderr), argv

@@ -206,8 +206,17 @@ def _random_zero_set(rng: random.Random, lo: int, hi: int) -> ZeroSet:
     return ZeroSet(elems)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def absorption_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
-    """Random-instance checks of the absorption identity and bound transport."""
+    """Random-instance checks of the absorption identity and bound transport.
+
+    Raises ValueError for ``samples < 1``, which would check nothing.
+    """
+    _require_samples(samples)
     rng = random.Random(seed)
     sets = [_random_zero_set(rng, -20, 20) for _ in range(samples)]
     t_id = transport_from_images(STEP_UP, STEP_DOWN)
@@ -267,8 +276,10 @@ def step_preimage_suite(bound: int = 10) -> list[CheckResult]:
 def rigidity_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     """The structural facts that force rigidity, as named sub-checks.
 
-    Failures are reported in the results, not raised.
+    Failures are reported in the results, not raised.  Raises ValueError
+    for ``samples < 1``, which would leave only the fixed probe.
     """
+    _require_samples(samples)
     checks = []
 
     cands = candidates_with_bounds(-1, 2)

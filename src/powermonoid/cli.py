@@ -1,11 +1,14 @@
 """Command-line front end for the power-monoid toolkit.
 
 Every subcommand emits a single JSON document on stdout (the default) or a
-bare human-readable rendering under ``--output plain``.  Output is
-byte-identical for identical argv and seed: no timings, no timestamps, and
-insertion-ordered keys throughout.  Exit codes: 0 for success or an
-all-pass verification, 1 when a verification reports a failure, 2 for
-usage and parse errors.
+bare human-readable rendering under ``--output plain``.  Each ``_cmd_*``
+returns its JSON payload, its plain lines and its exit code, and
+:func:`main` is the one renderer: it alone reads ``--output`` and writes
+stdout.  Output is byte-identical for identical argv and seed: no timings,
+no timestamps, and insertion-ordered keys throughout.  Exit codes: 0 for
+success or an all-pass verification, 1 when a verification reports a
+failure, 2 for usage and parse errors, which every command raises as
+``ValueError`` before any output.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from .finset import FinSet, kfold, parse_set, sumset
 from .monoid import as_zero_set, factorizations, is_atom
 from .proofsteps import OrientationError, run_end_witness, run_start_witness
 from .search import (
+    LIST_MAX_WINDOW,
     MAX_WINDOW,
+    ORACLE_MAX_WINDOW,
     build_window,
     find_window_automorphisms,
     window_survivors_oracle,
@@ -40,24 +45,24 @@ from .search import (
 # count is always exact regardless
 MAPS_LIMIT = 64
 
-# search-autos lists every survivor table.  From m = 4 on, the window has at
-# least 33 isolated sets, every permutation of them survives, and the core
-# search alone does not finish, so those windows are refused before any work.
-SEARCH_MAX_WINDOW = 3
-
 # verify lemma21 costs about 155 us a sample and lemma23 about 30 us (2-vCPU
 # Xeon, CPython 3.11.7): at the cap, lemma21 ran 8.0 s and lemma23 1.7 s.  A
 # count below 1 would check nothing and still report every check as passed.
 SAMPLES_MAX = 50_000
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _plain(value) -> str:
+    """A value as plain text: bools as true/false, strings bare, else compact JSON."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, separators=(",", ":"))
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
+def _key_lines(payload: dict, keys) -> list[str]:
+    """``key: value`` lines for those of keys present in payload, in order."""
+    return [f"{key}: {_plain(payload[key])}" for key in keys if key in payload]
 
 
 def _parse_auto(token: str) -> Auto:
@@ -74,72 +79,34 @@ def _parse_auto(token: str) -> Auto:
     raise ValueError(f"unknown automorphism name: {token!r}")
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
-    result = str(sumset(parse_set(args.x), parse_set(args.y)))
-    if args.output == "json":
-        _print_json({"op": "sum", "result": result})
-    else:
-        print(result)
-    return 0
+# the single-result commands, each printed bare under --output plain
+_RESULTS = {
+    "sum": lambda args: str(sumset(parse_set(args.x), parse_set(args.y))),
+    "kfold": lambda args: str(kfold(parse_set(args.x), args.k)),
+    "bdim": lambda args: runs(parse_set(args.x)).bdim,
+    "runs": lambda args: runs(parse_set(args.x)).to_json(),
+    "apply": lambda args: str(apply(_parse_auto(args.auto), as_zero_set(parse_set(args.x)))),
+}
 
 
-def _cmd_kfold(args: argparse.Namespace) -> int:
-    result = str(kfold(parse_set(args.x), args.k))
-    if args.output == "json":
-        _print_json({"op": "kfold", "result": result})
-    else:
-        print(result)
-    return 0
+def _cmd_result(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    result = _RESULTS[args.command](args)
+    return {"op": args.command, "result": result}, [_plain(result)], 0
 
 
-def _cmd_bdim(args: argparse.Namespace) -> int:
-    profile = runs(parse_set(args.x))
-    if args.output == "json":
-        _print_json({"op": "bdim", "result": profile.bdim})
-    else:
-        print(profile.bdim)
-    return 0
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    profile = runs(parse_set(args.x))
-    if args.output == "json":
-        _print_json({"op": "runs", "result": profile.to_json()})
-    else:
-        print(json.dumps(profile.to_json(), separators=(",", ":")))
-    return 0
-
-
-def _cmd_factor(args: argparse.Namespace) -> int:
+def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     x = as_zero_set(parse_set(args.x))
-    pairs = factorizations(x)
-    payload = {
-        "set": str(x),
-        "atom": is_atom(x),
-        "factorizations": [[str(y), str(z)] for y, z in pairs],
-    }
-    if args.output == "json":
-        _print_json(payload)
-    else:
-        print(f"set: {payload['set']}")
-        print(f"atom: {'true' if payload['atom'] else 'false'}")
-        for y, z in payload["factorizations"]:
-            print(f"{y} + {z}")
-    return 0
+    pairs = [[str(y), str(z)] for y, z in factorizations(x)]
+    payload = {"set": str(x), "atom": is_atom(x), "factorizations": pairs}
+    return payload, _key_lines(payload, ("set", "atom")) + [f"{y} + {z}" for y, z in pairs], 0
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
-    auto = _parse_auto(args.auto)
-    result = str(apply(auto, as_zero_set(parse_set(args.x))))
-    if args.output == "json":
-        _print_json({"op": "apply", "result": result})
-    else:
-        print(result)
-    return 0
-
-
-def _run_suite(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    if not 1 <= args.samples <= SAMPLES_MAX:
+        raise ValueError(f"--samples must be between 1 and {SAMPLES_MAX}")
     match args.lemma:
+        case "theorem":
+            return _verify_theorem(args)
         case "lemma21":
             checks = absorption_suite(seed=args.seed, samples=args.samples)
         case "lemma22":
@@ -152,21 +119,13 @@ def _run_suite(args: argparse.Namespace) -> int:
             {"name": c.name, "pass": c.passed, "witness": c.witness} for c in checks
         ],
     }
-    if args.output == "json":
-        _print_json(payload)
-    else:
-        for c in checks:
-            print(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
-    return 0 if all(c.passed for c in checks) else 1
+    lines = [f"{c.name}: {'pass' if c.passed else 'FAIL'}" for c in checks]
+    return payload, lines, 0 if all(c.passed for c in checks) else 1
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.samples <= SAMPLES_MAX:
-        return _fail_usage(f"--samples must be between 1 and {SAMPLES_MAX}")
-    if args.lemma != "theorem":
-        return _run_suite(args)
+def _verify_theorem(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.A is None or args.B is None:
-        return _fail_usage("verify theorem requires --A and --B")
+        raise ValueError("verify theorem requires --A and --B")
     a = as_zero_set(parse_set(args.A))
     b = as_zero_set(parse_set(args.B))
 
@@ -186,12 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             w = build(b, a)
     except ValueError as exc:
         payload = {"case": args.case, "swapped": swapped, "error": str(exc), "pass": False}
-        if args.output == "json":
-            _print_json(payload)
-        else:
-            print(f"error: {exc}")
-            print("pass: false")
-        return 1
+        return payload, _key_lines(payload, ("error", "pass")), 1
 
     ok = w.witness_point in w.lhs and w.witness_point not in w.rhs
     payload = {
@@ -203,32 +157,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "witness_point": w.witness_point,
         "pass": ok,
     }
-    if args.output == "json":
-        _print_json(payload)
-    else:
-        for key, val in payload.items():
-            if isinstance(val, bool):
-                val = "true" if val else "false"
-            print(f"{key}: {val}")
-    return 0 if ok else 1
+    return payload, _key_lines(payload, payload), 0 if ok else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if not 1 <= args.window <= MAX_WINDOW:
-        return _fail_usage(f"--window must be between 1 and {MAX_WINDOW}")
-    if args.window > SEARCH_MAX_WINDOW:
-        return _fail_usage(
+        raise ValueError(f"--window must be between 1 and {MAX_WINDOW}")
+    if args.window > LIST_MAX_WINDOW:
+        raise ValueError(
             f"--window {args.window} is refused: its survivors include every permutation of "
             f"at least 33 isolated sets, too many to list; search-autos takes windows "
-            f"1..{SEARCH_MAX_WINDOW}"
+            f"1..{LIST_MAX_WINDOW}"
         )
-    if args.oracle and args.window > 2:
-        return _fail_usage("--oracle is exhaustive over bijections; windows above 2 are not supported")
+    if args.oracle and args.window > ORACLE_MAX_WINDOW:
+        raise ValueError(
+            f"--oracle is exhaustive over bijections; windows above {ORACLE_MAX_WINDOW} are not supported"
+        )
     u = build_window(args.window)
     survivors = find_window_automorphisms(u, prune=args.prune == "on")
     names = [str(FinSet(e)) for e in u.elements]
-    payload: dict = {"m": args.window, "survivors": len(survivors)}
-    payload["elements"] = names
+    payload: dict = {"m": args.window, "survivors": len(survivors), "elements": names}
     payload["maps"] = [[names[k] for k in t] for t in survivors[:MAPS_LIMIT]]
     if len(survivors) > MAPS_LIMIT:
         payload["maps_truncated"] = True
@@ -238,17 +186,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ok = oracle == survivors
         payload["oracle_survivors"] = len(oracle)
         payload["oracle_matches"] = ok
-    if args.output == "json":
-        _print_json(payload)
-    else:
-        print(f"m: {args.window}")
-        print(f"survivors: {len(survivors)}")
-        if len(survivors) > MAPS_LIMIT:
-            print("maps_truncated: true")
-        if args.oracle:
-            print(f"oracle_survivors: {payload['oracle_survivors']}")
-            print(f"oracle_matches: {'true' if ok else 'false'}")
-    return 0 if ok else 1
+    keys = ("m", "survivors", "maps_truncated", "oracle_survivors", "oracle_matches")
+    return payload, _key_lines(payload, keys), 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,20 +205,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum", parents=[common], help="sumset of two sets")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=_cmd_sum)
+    p.set_defaults(func=_cmd_result)
 
     p = sub.add_parser("kfold", parents=[common], help="k-fold sumset of a set")
     p.add_argument("x")
     p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_kfold)
+    p.set_defaults(func=_cmd_result)
 
     p = sub.add_parser("bdim", parents=[common], help="boxing dimension of a set")
     p.add_argument("x")
-    p.set_defaults(func=_cmd_bdim)
+    p.set_defaults(func=_cmd_result)
 
     p = sub.add_parser("runs", parents=[common], help="maximal-run decomposition of a set")
     p.add_argument("x")
-    p.set_defaults(func=_cmd_runs)
+    p.set_defaults(func=_cmd_result)
 
     p = sub.add_parser("factor", parents=[common], help="atom test and all two-part factorizations")
     p.add_argument("x")
@@ -288,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", parents=[common], help="apply a named automorphism to a set")
     p.add_argument("auto", help="identity | negation | max-reflection | reversal:<name>")
     p.add_argument("x")
-    p.set_defaults(func=_cmd_apply)
+    p.set_defaults(func=_cmd_result)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("lemma", choices=("lemma21", "lemma22", "lemma23", "theorem"))
@@ -302,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search-autos", parents=[common], help="exhaustive window automorphism search")
-    p.add_argument("--window", type=int, required=True, help=f"window radius (1..{SEARCH_MAX_WINDOW})")
+    p.add_argument("--window", type=int, required=True, help=f"window radius (1..{LIST_MAX_WINDOW})")
     p.add_argument("--prune", choices=("on", "off"), default="on", help="invariant pruning")
     p.add_argument("--oracle", action="store_true", help="cross-check against the unpruned oracle")
     p.set_defaults(func=_cmd_search)
@@ -313,9 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except (ValueError, OverflowError) as exc:
-        return _fail_usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.output == "json":
+        print(json.dumps(payload, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -48,6 +48,14 @@ from .monoid import ZeroSet, factorizations, is_atom, subsets_in_mask_order
 
 MAX_WINDOW = 6
 
+# find_window_automorphisms lists every table: from m = 4 on, the window has
+# at least 33 isolated elements, so at least 33! tables.  Its byte-coded
+# batch check also needs the at most 64 elements of m <= 3.
+LIST_MAX_WINDOW = 3
+
+# window_survivors_oracle enumerates every signature-compatible bijection
+ORACLE_MAX_WINDOW = 2
+
 # nontrivial-factorization counts are precomputed for pruning only while
 # the universe stays small
 _STATS_WINDOW = 4
@@ -326,12 +334,12 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tup
     By the module lemma these are the core automorphisms composed with
     every permutation of the isolated elements.  Each core map gives one
     batch of tables, built as columns, and every table is verified by
-    :func:`_window_maps`, pruning or not.  Windows of 256 or more elements
-    (m >= 4) are refused: they have at least 33 isolated elements, so at
-    least 33! tables.
+    :func:`_window_maps`, pruning or not.  Windows above
+    :data:`LIST_MAX_WINDOW` are refused.
     """
-    if len(u.elements) >= _OUTSIDE:
-        raise ValueError("windows above m=3 have at least 33! automorphisms, too many to list")
+    if u.m > LIST_MAX_WINDOW:
+        raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
+                         "too many to list")
     iso = isolated_elements(u)
     size = factorial(len(iso))
     # row r of the blob is the r-th permutation of iso; the column of iso[q]
@@ -365,10 +373,10 @@ def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
     window by transported bounds refined with atom status and factorization
     count, enumerates every in-bucket bijection outright, and keeps the
     tables that pass full verification.  Exhaustive only while the window is
-    tiny.
+    tiny, so windows above :data:`ORACLE_MAX_WINDOW` are refused.
     """
-    if u.m > 2:
-        raise ValueError("oracle enumeration is only feasible for m <= 2")
+    if u.m > ORACLE_MAX_WINDOW:
+        raise ValueError(f"oracle enumeration is only feasible for m <= {ORACLE_MAX_WINDOW}")
     n = len(u.elements)
     i_up = u.index[(0, 1)]
     i_down = u.index[(-1, 0)]

@@ -170,6 +170,14 @@ def test_suites_are_deterministic():
     ]
 
 
+@pytest.mark.parametrize("suite", [absorption_suite, rigidity_suite])
+@pytest.mark.parametrize("samples", [0, -5])
+def test_suites_refuse_sample_counts_below_one(suite, samples):
+    # no sets drawn would still report every check as passed
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        suite(seed=0, samples=samples)
+
+
 @given(zero_sets(), zero_sets())
 def test_homomorphism_check_agrees_with_direct_expansion(x, y):
     t = Table([

@@ -25,26 +25,33 @@ fixes every isolated element, so the group is Sym(isolated) x Aut(core).
 
 So the search runs only over the core, with the isolated elements pinned:
 it backtracks over images in ascending size order with unit propagation
-over the partial table; optional pruning restricts candidates to matching
-invariant data (bound transport once both unit-step images are fixed, atom
-status, factorization count).  Each core map and every permutation of the
-isolated elements form one batch of tables, built as byte columns: a core
-column is constant, an isolated one a stride slice of the permutations.
-Every reported table is verified against the full partial table, pruning
-or not: the batch at once, one translate per pair head over the columns,
-and table by table should that check fail.
+over the partial table.  Optional pruning keeps, of each candidate image:
+
+- the sum count, the number of in-window pairs of two non-units with that
+  sum; both factors of a window element lie in the window, so this is its
+  factorization count.  A window map phi fixes the unit, so it sends the
+  finite set of such pairs injectively, hence bijectively, into itself,
+  and the pairs with sum x onto those with sum phi x;
+- once both unit-step images are fixed, the transported bounds: the one
+  rule not proven for window maps, backed only by prune on = prune off.
+
+Each core map and every permutation of the isolated elements form one batch
+of tables, built as byte columns: a core column is constant, an isolated one
+a stride slice of the permutations.  Every reported table is verified
+against the full partial table, pruning or not: the batch at once, one
+translate per pair head over the columns, or table by table if that fails.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 from operator import itemgetter
 
 from .autos import Table
 from .finset import FinSet, sumset
-from .monoid import ZeroSet, factorizations, is_atom, subsets_in_mask_order
+from .monoid import ZeroSet, subsets_in_mask_order
 
 MAX_WINDOW = 6
 
@@ -53,12 +60,9 @@ MAX_WINDOW = 6
 # batch check also needs the at most 64 elements of m <= 3.
 LIST_MAX_WINDOW = 3
 
-# window_survivors_oracle enumerates every signature-compatible bijection
+# window_survivors_oracle backtracks over plain bijections, checking only the
+# definition: feasible on the 16 elements of m=2, not the 64 of m=3
 ORACLE_MAX_WINDOW = 2
-
-# nontrivial-factorization counts are precomputed for pruning only while
-# the universe stays small
-_STATS_WINDOW = 4
 
 # marks an out-of-window sum in the byte-coded table; element indices stay
 # below it while the window has at most 64 elements (m <= 3)
@@ -74,8 +78,7 @@ class WindowUniverse:
     coded copy of ``pair_sums`` on the universe.
     """
 
-    __slots__ = ("m", "elements", "index", "pair_sums", "los", "his", "sizes", "atoms", "nfacts",
-                 "_check")
+    __slots__ = ("m", "elements", "index", "pair_sums", "los", "his", "sizes", "_check")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
@@ -104,9 +107,6 @@ class WindowUniverse:
             for j in js[bisect_left(js, i):]:
                 pair_sums[(i, j)] = index[sumset(ei, elements[j]).elems]
         self.pair_sums = pair_sums
-        small = m <= _STATS_WINDOW
-        self.atoms = tuple(map(is_atom, elements)) if small else None
-        self.nfacts = tuple(len(factorizations(e)) for e in elements) if small else None
         self._check = None
 
 
@@ -247,21 +247,23 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
     elements pinned to themselves; assigning an image propagates every
     in-window product with already-assigned partners, and an image sum
     falling outside the window is an immediate conflict.  With prune on,
-    candidates are first filtered by invariant data.  The tables are not
-    re-verified here; :func:`find_window_automorphisms` verifies every table
-    it reports.
+    candidates are filtered first by the two rules of the module docstring.
+    The tables are not verified here, only in :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
     order = sorted(range(n), key=lambda i: (u.sizes[i], i))
     pair_sums = u.pair_sums
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    unit = u.index[(0,)]
+    nsums = [0] * n
     for (i, j), k in pair_sums.items():
         neighbors[i].append((j, k))
         if i != j:
             neighbors[j].append((i, k))
+        if unit not in (i, j):
+            nsums[k] += 1
 
-    i_up = u.index[(0, 1)]
-    i_down = u.index[(-1, 0)]
+    i_up, i_down = u.index[(0, 1)], u.index[(-1, 0)]
     img: list[int | None] = [None] * n
     used = [False] * n
     for i in isolated_elements(u):
@@ -295,17 +297,15 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
         return True
 
     def candidates(i: int):
-        cands = [t for t in range(n) if not used[t]]
         if not prune:
-            return cands
+            return [t for t in range(n) if not used[t]]
+        cands = [t for t in range(n) if not used[t] and nsums[t] == nsums[i]]
         tu, td = img[i_up], img[i_down]
         if tu is not None and td is not None:
             xm, xp = -u.los[i], u.his[i]
             plo = u.los[td] * xm + u.los[tu] * xp
             phi = u.his[td] * xm + u.his[tu] * xp
             cands = [t for t in cands if u.los[t] == plo and u.his[t] == phi]
-        if u.atoms is not None:
-            cands = [t for t in cands if u.atoms[t] == u.atoms[i] and u.nfacts[t] == u.nfacts[i]]
         return cands
 
     def dfs(pos: int) -> None:
@@ -367,59 +367,44 @@ def _window_maps(u: WindowUniverse, cols: list[bytes]) -> list[tuple[int, ...]]:
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
-    """Slow independent route: filter every signature-compatible bijection.
+    """Slow independent route: the bijections that satisfy the definition.
 
-    Branches over all image choices for the two unit steps, buckets the
-    window by transported bounds refined with atom status and factorization
-    count, enumerates every in-bucket bijection outright, and keeps the
-    tables that pass full verification.  Exhaustive only while the window is
-    tiny, so windows above :data:`ORACLE_MAX_WINDOW` are refused.
+    Backtracks over image tables in index order, images ascending, so the
+    tables come out sorted.  Each in-window pair (i, j) -> k is checked as
+    soon as it can be: (t_i, t_j) must be an in-window pair once i and j
+    have images, with sum t_k once k has one too.  Reads only the element
+    count and the partial table, and calls nothing else of this module.
+    Windows above :data:`ORACLE_MAX_WINDOW` are refused.
     """
     if u.m > ORACLE_MAX_WINDOW:
         raise ValueError(f"oracle enumeration is only feasible for m <= {ORACLE_MAX_WINDOW}")
     n = len(u.elements)
-    i_up = u.index[(0, 1)]
-    i_down = u.index[(-1, 0)]
-    bclass: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        bclass.setdefault((u.los[i], u.his[i]), []).append(i)
+    pair_sums = u.pair_sums
+    # checks[x]: the pairs (a <= b) -> k to test once x has an image, k None while t_k is unknown
+    checks: list[list[tuple[int, int, int | None]]] = [[] for _ in range(n)]
+    for (a, b), k in pair_sums.items():
+        checks[b].append((a, b, k if k <= b else None))
+        if k > b:
+            checks[k].append((a, b, k))
+    table = [0] * n
+    used = [False] * n
 
-    def subsig(i: int) -> tuple:
-        return (u.atoms[i], u.nfacts[i])
+    def extend(i: int):
+        if i == n:
+            yield tuple(table)
+            return
+        for t in range(n):
+            if used[t]:
+                continue
+            table[i] = t
+            for a, b, k in checks[i]:
+                ta, tb = table[a], table[b]
+                s = pair_sums.get((ta, tb) if ta <= tb else (tb, ta))
+                if s is None or (k is not None and s != table[k]):
+                    break
+            else:
+                used[t] = True
+                yield from extend(i + 1)
+                used[t] = False
 
-    def choices(t_up: int, t_down: int) -> list[list[dict[int, int]]] | None:
-        """Per bucket, its maps onto the images that fix the step images."""
-        # each bounds class must go onto its own class of transported bounds
-        targets: dict[tuple[int, int], list[int]] = {}
-        for (lo, hi), members in bclass.items():
-            key = (u.los[t_down] * -lo + u.los[t_up] * hi, u.his[t_down] * -lo + u.his[t_up] * hi)
-            if key in targets or len(bclass.get(key, ())) != len(members):
-                return None
-            targets[key] = members
-        # refine by invariant sub-signature, pinning the step images
-        out = []
-        for key, members in targets.items():
-            by_sig: dict[tuple, tuple[list[int], list[int]]] = {}
-            for i in members:
-                by_sig.setdefault(subsig(i), ([], []))[0].append(i)
-            for t in bclass[key]:
-                by_sig.setdefault(subsig(t), ([], []))[1].append(t)
-            if any(len(src) != len(dst) for src, dst in by_sig.values()):
-                return None
-            for src, dst in by_sig.values():
-                maps = (dict(zip(src, perm)) for perm in permutations(dst))
-                out.append([m for m in maps if m.get(i_up, t_up) == t_up and m.get(i_down, t_down) == t_down])
-        return out
-
-    results = set()
-    for t_up, t_down in product(range(n), repeat=2):
-        if u.sizes[t_up] == 1 or u.sizes[t_down] == 1 or (buckets := choices(t_up, t_down)) is None:
-            continue
-        for combo in product(*buckets):
-            table = [None] * n
-            for m in combo:
-                for i, t in m.items():
-                    table[i] = t
-            if verify_window_map(u, table):
-                results.add(tuple(table))
-    return sorted(results)
+    return list(extend(0))

@@ -316,3 +316,12 @@ def test_stdout_frozen(capsys):
         if stdout.startswith("sha256:"):
             out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
         assert (out, err) == (stdout, stderr), argv
+
+
+@pytest.mark.parametrize("argv", [("verify", "lemma22"), ("verify", "theorem", *_DIVERGENT)])
+def test_verify_ignores_samples_where_unread(argv, capsys):
+    # lemma22 and theorem never read --samples, so no count is refused there
+    expected = cli.main(list(argv)), capsys.readouterr().out
+    assert expected[0] == 0 and expected[1]
+    for samples in ("0", "-5"):
+        assert (cli.main([*argv, "--samples", samples]), capsys.readouterr().out) == expected

@@ -13,6 +13,7 @@ from powermonoid import (
     as_table_spec,
     as_zero_set,
     build_window,
+    factorizations,
     find_window_automorphisms,
     identity_table,
     negation_table,
@@ -251,6 +252,33 @@ def test_survivors_are_sym_iso_times_core():
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
 
 
+def _sum_counts(u):
+    """How many in-window pairs of two non-units have each element as sum."""
+    unit = u.index[(0,)]
+    counts = [0] * len(u.elements)
+    for (i, j), k in u.pair_sums.items():
+        if unit not in (i, j):
+            counts[k] += 1
+    return counts
+
+
+def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
+    for m in (1, 2, 3, 4):
+        u = build_window(m)
+        counts = _sum_counts(u)
+        assert counts == [len(factorizations(e)) for e in u.elements], f"m={m}"
+        assert counts[u.index[(0,)]] == 0
+        assert all(counts[i] == 0 for i in isolated_elements(u)), f"m={m}"
+    # maps found without the sum-count pruning, or without any search at all
+    maps = {m: window_survivors_oracle(build_window(m)) for m in (1, 2)}
+    maps[3] = core_automorphisms(build_window(3), prune=False)
+    assert {m: len(tables) for m, tables in maps.items()} == {1: 2, 2: 4, 3: 16}
+    for m, tables in maps.items():
+        counts = _sum_counts(build_window(m))
+        for t in tables:
+            assert [counts[k] for k in t] == counts, f"m={m}: {t}"
+
+
 def test_window_three_survivors_frozen():
     u = build_window(3)
     iso = isolated_elements(u)
@@ -369,10 +397,12 @@ def test_batch_check_with_one_bad_row(m, monkeypatch):
 def _stand_in_universe(n, pair_sums):
     """A universe of n elements with an arbitrary partial table.
 
-    The verifiers read only the element count and the pair table, so this
-    checks them on tables no window has.
+    The verifiers and the oracle read only the element count and the pair
+    table (the oracle also m, set within its cap), so this checks them on
+    tables no window has.
     """
     u = object.__new__(WindowUniverse)
+    u.m = 1
     u.elements = tuple(range(n))
     u.pair_sums = pair_sums
     u._check = None
@@ -392,6 +422,7 @@ def test_verifiers_match_naive_on_random_partial_tables():
         u = _stand_in_universe(n, table)
         verdicts = {t: _naive_verify(table, t) for t in perms}
         assert {t: verify_window_map(u, t) for t in perms} == verdicts
+        assert window_survivors_oracle(u) == [t for t in perms if verdicts[t]]
         heads = sorted({a for a, _ in table})
         # batches with every head column constant, then with the last head's varying
         for keyed in (heads, heads[:-1]):
@@ -427,6 +458,25 @@ def test_prune_matches_no_prune_and_oracle():
         pruned = find_window_automorphisms(u, prune=True)
         assert pruned == find_window_automorphisms(u, prune=False)
         assert pruned == window_survivors_oracle(u)
+
+
+def test_oracle_shares_nothing_with_the_search(monkeypatch):
+    import powermonoid.search as search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the search")
+
+    for name in ("core_automorphisms", "isolated_elements", "verify_window_map", "_checks",
+                 "_window_maps"):
+        monkeypatch.setattr(search, name, refuse)
+    for m in (1, 2):
+        u = build_window(m)
+        survivors = search.window_survivors_oracle(u)
+        assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
+        # a universe holding only m, the element count and the pair table
+        bare = _stand_in_universe(len(u.elements), u.pair_sums)
+        bare.m = m
+        assert search.window_survivors_oracle(bare) == survivors
 
 
 def test_find_refuses_windows_above_three():

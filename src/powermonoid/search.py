@@ -38,19 +38,27 @@ over the partial table.  Optional pruning keeps, of each candidate image:
 Each core map and every permutation of the isolated elements form one batch
 of tables, built as byte columns: a core column is constant, an isolated one
 a stride slice of the permutations.  Every reported table is verified
-against the full partial table, pruning or not: the batch at once, one
-translate per pair head over the columns, or table by table if that fails.
+against the full partial table, pruning or not: the batch at once, or table
+by table if that fails.  The batch check reads row 0 whole, then translates
+only the pairs whose partner or sum column varies, one translate per pair
+head.  The rows of a batch come in the lexicographic order of the
+permutations of the isolated elements, so the list needs no sort when the
+core maps strictly increase before the first isolated element.
+
+The window is built without a set sum: element i selects the free values
+by the bits of i, so its position mask, bit v + m for each v, is a bit
+shuffle of i.  An in-window sum is the or of the partner's mask shifted
+once per element of the head, shuffled back to its index.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, lshift, or_
 
 from .autos import Table
-from .finset import FinSet, sumset
 from .monoid import ZeroSet, subsets_in_mask_order
 
 MAX_WINDOW = 6
@@ -87,7 +95,7 @@ class WindowUniverse:
         free = [v for v in range(-m, m + 1) if v != 0]
         elements = [ZeroSet([0, *sub]) for sub in subsets_in_mask_order(free)]
         self.elements = tuple(elements)
-        self.index = index = {e.elems: i for i, e in enumerate(elements)}
+        self.index = {e.elems: i for i, e in enumerate(elements)}
         self.los = tuple(e.min for e in elements)
         self.his = tuple(e.max for e in elements)
         self.sizes = tuple(len(e) for e in elements)
@@ -101,16 +109,35 @@ class WindowUniverse:
                              if lo + lo2 >= -m and hi + hi2 <= m for j in js)
             for lo, hi in by_bounds
         }
+        # element i holds free[b] iff bit b of i is set, and its position
+        # mask has bit v + m for each of its v: the low m bits of i stay, the
+        # high m move up past bit m, which is 0's
+        low = (1 << m) - 1
+        masks = [(i & low) | (i >> m << m + 1) | 1 << m for i in range(len(elements))]
         pair_sums: dict[tuple[int, int], int] = {}
         for i, ei in enumerate(elements):
             js = partners[(ei.min, ei.max)]
-            for j in js[bisect_left(js, i):]:
-                pair_sums[(i, j)] = index[sumset(ei, elements[j]).elems]
+            js = js[bisect_left(js, i):]
+            pjs = [masks[j] for j in js]
+            # or-ing j's mask shifted by v + m for each v of element i gives
+            # the sum's position mask, shifted up by m
+            sums = [0] * len(js)
+            for v in ei:
+                sums = list(map(or_, sums, map(lshift, pjs, repeat(v + m))))
+            # shifted down by m, the inverse shuffle gives the sum's index
+            pair_sums.update(zip(zip(repeat(i), js),
+                                 [(s >> m & low) | (s >> 2 * m + 1 << m) for s in sums]))
         self.pair_sums = pair_sums
         self._check = None
 
 
 def build_window(m: int) -> WindowUniverse:
+    """The window of radius m, 1 <= m <= MAX_WINDOW, as a :class:`WindowUniverse`.
+
+    Element i holds free[b] of the nonzero values [-m..-1, 1..m] exactly
+    when bit b of i is set.  The partial table is built from the elements'
+    position masks by shift-or, with no set sum; see the module docstring.
+    """
     return WindowUniverse(m)
 
 
@@ -132,11 +159,15 @@ def _checks(u: WindowUniverse):
     with v.  The in-window pairs (a, b) -> k are grouped by their head a (16
     heads at m=3), and a table t passes iff the partners' images translated
     through row t[a] equal the sums' images, head by head.  A batch of
-    tables is given as columns, cols[i] holding every table's image of i;
-    a head whose column is constant v is checked for the whole batch with
-    one translate through row v.  The batch check is True only if every
-    table is a bijection and passes every pair.  From 256 elements, tables
-    are checked alone, looking each image pair up in a dict.
+    tables is given as columns, cols[i] holding every table's image of i.
+    Once every row is known to be a bijection, row 0 is checked whole: a
+    pair whose head, partner and sum columns are all constant gets its
+    verdict in every row.  Then every head column must be constant v, and
+    only the pairs whose partner or sum column varies are checked for the
+    whole batch, with one translate through row v per head.  The batch
+    check is True only if every table is a bijection and passes every pair.
+    From 256 elements, tables are checked alone, looking each image pair up
+    in a dict.
     """
     if u._check is not None:
         return u._check
@@ -191,10 +222,12 @@ def _checks(u: WindowUniverse):
         return True
 
     def check_batch(cols: list[bytes]) -> bool:
-        size = len(cols[0])
-        if len(cols) != n or any(len(c) != size for c in cols):
+        if len(cols) != n:
             return False
-        fixed = {i: c[0] for i, c in enumerate(cols) if c.count(c[:1]) == size}
+        size = len(cols[0])
+        if not size or any(len(c) != size for c in cols):
+            return False
+        fixed = {i: c[0] for i, c in enumerate(cols) if c == c[:1] * size}
         # the constant values are distinct and below n iff each removes one index
         free = indices.translate(None, bytes(fixed.values()))
         if len(free) != n - len(fixed):
@@ -210,8 +243,20 @@ def _checks(u: WindowUniverse):
         words = [int.from_bytes(c, "big") for c in varying]
         if any((((x ^ y) | high) - low) & high != high for x, y in combinations(words, 2)):
             return False
-        return all(a in fixed and join(map(cols.__getitem__, partners)).translate(rows[fixed[a]])
-                   == join(map(cols.__getitem__, sums)) for a, partners, sums in heads)
+        # every row is a bijection now, and a pair whose columns are all
+        # constant holds in every row iff it holds in row 0
+        if not check_table(bytes(c[0] for c in cols)):
+            return False
+        for a, partners, sums in heads:
+            if a not in fixed:
+                return False
+            moving = [(b, k) for b, k in zip(partners, sums) if b not in fixed or k not in fixed]
+            if moving:
+                bs, ks = zip(*moving)
+                image = join(map(cols.__getitem__, bs)).translate(rows[fixed[a]])
+                if image != join(map(cols.__getitem__, ks)):
+                    return False
+        return True
 
     u._check = check_table, check_batch
     return u._check
@@ -346,10 +391,16 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tup
     # holds its q-th entry in every row
     blob = b"".join(map(bytes, permutations(iso)))
     moved = {x: blob[q::len(iso)] for q, x in enumerate(iso)}
+    cores = core_automorphisms(u, prune)
     results = []
-    for core in core_automorphisms(u, prune):
+    for core in cores:
         results += _window_maps(u, [moved.get(i, bytes((v,)) * size) for i, v in enumerate(core)])
-    results.sort()
+    # a batch's rows differ only at iso, in the lexicographic order of
+    # permutations(iso), so the batches come out sorted if the core maps
+    # strictly increase before iso[0]
+    head = iso[0] if iso else len(u.elements)
+    if any(a[:head] >= b[:head] for a, b in zip(cores, cores[1:])):
+        results.sort()
     return results
 
 

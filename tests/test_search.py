@@ -17,6 +17,7 @@ from powermonoid import (
     find_window_automorphisms,
     identity_table,
     negation_table,
+    sumset,
     sumset_naive,
     verify_window_map,
     window_survivors_oracle,
@@ -57,27 +58,53 @@ def _swapped(t, a, b):
 
 
 def test_universe_shape():
-    for m in (1, 2, 3):
+    for m in range(1, MAX_WINDOW + 1):
         u = build_window(m)
         assert u.m == m
         assert len(u.elements) == 2 ** (2 * m)
         assert all(0 in e for e in u.elements)
         for e in u.elements:
             assert u.elements[u.index[e.elems]] == e
+        # the pair table is built from this: element i holds free[b]
+        # exactly when bit b of i is set
+        free = [v for v in range(-m, m + 1) if v != 0]
+        for i, e in enumerate(u.elements):
+            assert [v in e for v in free] == [bool(i >> b & 1) for b in range(2 * m)], f"m={m}: {i}"
     with pytest.raises(ValueError):
         build_window(MAX_WINDOW + 1)
     with pytest.raises(ValueError):
         build_window(0)
 
 
+def _bounds_fitting_pairs(u):
+    """The pairs i <= j whose bounds add up inside the window.
+
+    The bounds of a sum are the sums of the bounds, so every other pair sums
+    outside the window.
+    """
+    by_bounds = {}
+    for i, e in enumerate(u.elements):
+        by_bounds.setdefault((e.min, e.max), []).append(i)
+    for (lo, hi), firsts in by_bounds.items():
+        for (lo2, hi2), seconds in by_bounds.items():
+            if lo + lo2 >= -u.m and hi + hi2 <= u.m:
+                yield from ((i, j) for i in firsts for j in seconds if i <= j)
+
+
 def test_partial_table_is_exactly_the_in_window_sums():
-    # criterion 8 derives its expected survivor group from this table
-    for m in (1, 2, 3):
+    # criterion 8 derives its expected survivor group from this table, and
+    # the window build adds no sets: every pair is summed by sumset_naive up
+    # to m=4, and at m=5 and 6 the pairs whose bounds fit are summed by sumset
+    for m in range(1, MAX_WINDOW + 1):
         u = build_window(m)
         sets = [FinSet(e) for e in u.elements]
+        if m <= 4:
+            add, pairs = sumset_naive, itertools.combinations_with_replacement(range(len(sets)), 2)
+        else:
+            add, pairs = sumset, _bounds_fitting_pairs(u)
         expected = {}
-        for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
-            s = sumset_naive(sets[i], sets[j])
+        for i, j in pairs:
+            s = add(sets[i], sets[j])
             if s.min >= -m and s.max <= m:
                 expected[(i, j)] = u.index[s.elems]
         assert u.pair_sums == expected, f"m={m}"
@@ -296,6 +323,27 @@ def test_window_three_survivors_frozen():
     assert digests[True] == digests[False]
 
 
+def test_core_maps_increase_before_the_first_isolated_element():
+    # so the batches of find_window_automorphisms follow one another in
+    # order, and the list is returned without a sort
+    for m in (1, 2, 3):
+        u = build_window(m)
+        iso = isolated_elements(u)
+        head = iso[0] if iso else len(u.elements)
+        for prune in (True, False):
+            cores = core_automorphisms(u, prune)
+            assert all(a[:head] < b[:head] for a, b in zip(cores, cores[1:])), f"m={m}"
+
+
+def test_find_sorts_core_maps_out_of_order(monkeypatch):
+    import powermonoid.search as search
+
+    real = search.core_automorphisms
+    monkeypatch.setattr(search, "core_automorphisms", lambda u, prune=True: real(u, prune)[::-1])
+    got = search.find_window_automorphisms(build_window(2))
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == FROZEN_DIGESTS[2]
+
+
 def test_every_reported_table_is_verified(monkeypatch):
     import powermonoid.search as search
 
@@ -333,8 +381,9 @@ def _naive_verdict(naive, t):
     return _naive_verify(naive, t)
 
 
+@pytest.mark.parametrize("bad_at", ["first", "last"])
 @pytest.mark.parametrize("m", [2, 3])
-def test_batch_check_with_one_bad_row(m, monkeypatch):
+def test_batch_check_with_one_bad_row(m, bad_at, monkeypatch):
     import powermonoid.search as search
 
     u = build_window(m)
@@ -354,16 +403,18 @@ def test_batch_check_with_one_bad_row(m, monkeypatch):
         return t[:i] + (v,) + t[i + 1:]
 
     good = [composed(core, p) for p in perms]
-    last = good[-1]
+    # the batch check reads row 0 on its own, then the varying pairs of all rows
+    pos = 0 if bad_at == "first" else len(good) - 1
+    base = good[pos]
     # a core partner of a non-unit head that heads no pair itself
     x = next(b for a, b in u.pair_sums if a != unit and b not in heads and b not in iso)
     cases = {
-        "breaks a pair": (_swapped(last, x, iso[0]), False),
-        "moves a head": (_swapped(last, max(heads), iso[0]), False),
-        "repeats an isolated value": (replaced(last, iso[0], last[iso[1]]), "not a bijection"),
-        "repeats a core value": (replaced(last, iso[0], last[x]), "not a bijection"),
-        "leaves the window": (replaced(last, iso[0], len(last)), "not a bijection"),
-        "head column not constant": (composed(other, perms[-1]), True),
+        "breaks a pair": (_swapped(base, x, iso[0]), False),
+        "moves a head": (_swapped(base, max(heads), iso[0]), False),
+        "repeats an isolated value": (replaced(base, iso[0], base[iso[1]]), "not a bijection"),
+        "repeats a core value": (replaced(base, iso[0], base[x]), "not a bijection"),
+        "leaves the window": (replaced(base, iso[0], len(base)), "not a bijection"),
+        "head column not constant": (composed(other, perms[pos]), True),
     }
 
     calls = []
@@ -377,9 +428,9 @@ def test_batch_check_with_one_bad_row(m, monkeypatch):
     assert search._checks(u)[1](_columns(good))
     assert search._window_maps(u, _columns(good)) == good and not calls
     for name, (bad, expected) in cases.items():
-        rows = good[:-1] + [bad]
+        rows = good[:pos] + [bad] + good[pos + 1:]
         verdicts = [_naive_verdict(naive, t) for t in rows]
-        assert verdicts == [True] * (len(rows) - 1) + [expected], name
+        assert verdicts == [True] * pos + [expected] + [True] * (len(rows) - pos - 1), name
         assert [_verdict(u, t) for t in rows] == verdicts, name
         cols = _columns(rows)
         assert not search._checks(u)[1](cols), name
@@ -437,6 +488,16 @@ def test_verifiers_match_naive_on_random_partial_tables():
                     assert search._checks(u)[1](cols) == (passing == batch)
                     accepted += passing == batch
     assert accepted > 0
+
+
+def test_batch_check_refuses_an_empty_batch():
+    import powermonoid.search as search
+
+    # an empty batch has no row 0 to read
+    for u in (build_window(2), _stand_in_universe(6, {(1, 2): 3})):
+        empty = [b""] * len(u.elements)
+        assert search._checks(u)[1](empty) is False
+        assert search._window_maps(u, empty) == []
 
 
 def test_batch_check_never_assumes_a_head_column_constant():

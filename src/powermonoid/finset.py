@@ -278,19 +278,11 @@ def parse_set(text: str) -> FinSet:
                 raise ValueError(f"bad integer {tok!r} in set literal") from None
         return FinSet(elems)
     if ".." in s:
-        left, _, right = s.partition("..")
-        try:
-            lo, hi = int(left.strip()), int(right.strip())
-        except ValueError:
-            bad = left if _is_bad_int(left) else right
-            raise ValueError(f"bad integer {bad.strip()!r} in interval shorthand") from None
-        return interval(lo, hi)
+        ends = []
+        for tok in s.partition("..")[::2]:
+            try:
+                ends.append(int(tok.strip()))
+            except ValueError:
+                raise ValueError(f"bad integer {tok.strip()!r} in interval shorthand") from None
+        return interval(*ends)
     raise ValueError(f"expected a set literal or LO..HI interval, got {text!r}")
-
-
-def _is_bad_int(tok: str) -> bool:
-    try:
-        int(tok.strip())
-    except ValueError:
-        return True
-    return False

@@ -41,14 +41,17 @@ a stride slice of the permutations.  Every reported table is verified
 against the full partial table, pruning or not: the batch at once, or table
 by table if that fails.  The batch check reads row 0 whole, then translates
 only the pairs whose partner or sum column varies, one translate per pair
-head.  The rows of a batch come in the lexicographic order of the
-permutations of the isolated elements, so the list needs no sort when the
-core maps strictly increase before the first isolated element.
+head; byte columns code batches only.  A single table is checked by one
+dict lookup per in-window pair, the same check at every radius.  The rows
+of a batch come in the lexicographic order of the permutations of the
+isolated elements, so the list needs no sort when the core maps strictly
+increase before the first isolated element.
 
-The window is built without a set sum: element i selects the free values
-by the bits of i, so its position mask, bit v + m for each v, is a bit
-shuffle of i.  An in-window sum is the or of the partner's mask shifted
-once per element of the head, shuffled back to its index.
+The window is built without a set sum: element i selects the nonzero
+values by the bits of i, so its position mask, bit v + m for each v, is a
+bit shuffle of i, and the mask decodes to the element.  An in-window sum is
+the or of the partner's mask shifted once per element of the head, shuffled
+back to its index.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import combinations, permutations, repeat
 from math import factorial
-from operator import itemgetter, lshift, or_
+from operator import index, lshift, or_
 
 from .autos import Table
-from .monoid import ZeroSet, subsets_in_mask_order
+from .finset import _from_mask
+from .monoid import ZeroSet
 
 MAX_WINDOW = 6
 
@@ -86,19 +90,22 @@ class WindowUniverse:
     coded copy of ``pair_sums`` on the universe.
     """
 
-    __slots__ = ("m", "elements", "index", "pair_sums", "los", "his", "sizes", "_check")
+    __slots__ = ("m", "elements", "index", "pair_sums", "los", "his", "_check")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
             raise ValueError(f"window radius must be in 1..{MAX_WINDOW}")
         self.m = m
-        free = [v for v in range(-m, m + 1) if v != 0]
-        elements = [ZeroSet([0, *sub]) for sub in subsets_in_mask_order(free)]
+        # element i selects the nonzero values [-m..-1, 1..m] by the bits of
+        # i, and its position mask has bit v + m for each of its v: the low m
+        # bits of i stay, the high m move up past bit m, which is 0's
+        low = (1 << m) - 1
+        masks = [(i & low) | (i >> m << m + 1) | 1 << m for i in range(1 << 2 * m)]
+        elements = [ZeroSet(_from_mask(s, -m)) for s in masks]
         self.elements = tuple(elements)
         self.index = {e.elems: i for i, e in enumerate(elements)}
         self.los = tuple(e.min for e in elements)
         self.his = tuple(e.max for e in elements)
-        self.sizes = tuple(len(e) for e in elements)
         # the bounds alone decide whether a sum stays inside, so each bounds
         # class has one ascending list of in-window partners
         by_bounds: dict[tuple[int, int], list[int]] = {}
@@ -109,11 +116,6 @@ class WindowUniverse:
                              if lo + lo2 >= -m and hi + hi2 <= m for j in js)
             for lo, hi in by_bounds
         }
-        # element i holds free[b] iff bit b of i is set, and its position
-        # mask has bit v + m for each of its v: the low m bits of i stay, the
-        # high m move up past bit m, which is 0's
-        low = (1 << m) - 1
-        masks = [(i & low) | (i >> m << m + 1) | 1 << m for i in range(len(elements))]
         pair_sums: dict[tuple[int, int], int] = {}
         for i, ei in enumerate(elements):
             js = partners[(ei.min, ei.max)]
@@ -134,7 +136,7 @@ class WindowUniverse:
 def build_window(m: int) -> WindowUniverse:
     """The window of radius m, 1 <= m <= MAX_WINDOW, as a :class:`WindowUniverse`.
 
-    Element i holds free[b] of the nonzero values [-m..-1, 1..m] exactly
+    Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
     when bit b of i is set.  The partial table is built from the elements'
     position masks by shift-or, with no set sum; see the module docstring.
     """
@@ -154,45 +156,43 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
 def _checks(u: WindowUniverse):
     """The exact tests of one table and of one column batch, coded once.
 
-    Up to 64 elements, row v of the coded table holds the sum of v and b at
-    offset b and _OUTSIDE elsewhere, so a translate through it reads sums
-    with v.  The in-window pairs (a, b) -> k are grouped by their head a (16
-    heads at m=3), and a table t passes iff the partners' images translated
-    through row t[a] equal the sums' images, head by head.  A batch of
-    tables is given as columns, cols[i] holding every table's image of i.
-    Once every row is known to be a bijection, row 0 is checked whole: a
-    pair whose head, partner and sum columns are all constant gets its
-    verdict in every row.  Then every head column must be constant v, and
-    only the pairs whose partner or sum column varies are checked for the
-    whole batch, with one translate through row v per head.  The batch
+    A table t passes iff it permutes the window's indices and, for every
+    in-window pair (i, j) -> k, (t[i], t[j]) is an in-window pair with sum
+    t[k]: one lookup per pair in a dict holding both orders of each pair.
+    A batch of tables is given as columns, cols[i] holding every table's
+    image of i, coded in bytes while the window has at most 64 elements.
+    Row v of the coded table holds the sum of v and b at offset b and
+    _OUTSIDE elsewhere, so a translate through it reads sums with v, and
+    the in-window pairs (a, b) -> k are grouped by their head a (16 heads
+    at m=3).  Once every row is known to be a bijection, row 0 is checked
+    whole: a pair whose head, partner and sum columns are all constant gets
+    its verdict in every row.  Then every head column must be constant v,
+    and only the pairs whose partner or sum column varies are checked for
+    the whole batch, with one translate through row v per head.  The batch
     check is True only if every table is a bijection and passes every pair.
-    From 256 elements, tables are checked alone, looking each image pair up
-    in a dict.
     """
     if u._check is not None:
         return u._check
     n = len(u.elements)
     entries = sorted(u.pair_sums.items())
+    ordered = {}
+    for (i, j), k in entries:
+        ordered[(i, j)] = ordered[(j, i)] = k
+    indices = list(range(n))
 
-    if n >= _OUTSIDE:
-        firsts = itemgetter(*(i for (i, _), _ in entries))
-        seconds = itemgetter(*(j for (_, j), _ in entries))
-        image_sums = itemgetter(*(k for _, k in entries))
-        ordered = {}
-        for (i, j), k in entries:
-            ordered[(i, j)] = ordered[(j, i)] = k
-        indices = list(range(n))
+    def check_table(t) -> bool:
+        try:
+            permutes = sorted(map(index, t)) == indices
+        except TypeError:
+            permutes = False
+        if not permutes:
+            raise ValueError(_NOT_A_BIJECTION)
+        return all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in entries)
 
-        def check_wide(t: tuple) -> bool:
-            try:
-                permutes = sorted(t) == indices
-            except TypeError:
-                permutes = False
-            if not permutes:
-                raise ValueError(_NOT_A_BIJECTION)
-            return tuple(map(ordered.get, zip(firsts(t), seconds(t)))) == image_sums(t)
-
-        u._check = check_wide, None
+    u._check = check_table, None
+    # byte columns for the at most 64 elements of m <= 3; the word test of
+    # the batch check needs every index below 128
+    if n > 64:
         return u._check
 
     coded = [bytearray([_OUTSIDE]) * 256 for _ in range(n)]
@@ -202,24 +202,8 @@ def _checks(u: WindowUniverse):
         grouped.setdefault(a, []).append((b, k))
     rows = list(map(bytes, coded))
     heads = [(a, bytes(b for b, _ in pairs), bytes(k for _, k in pairs)) for a, pairs in grouped.items()]
-    # completes t to a translate table
-    above = bytes(range(n, 256))
-    indices = bytes(range(n))
+    index_bytes = bytes(indices)
     join = b"".join
-
-    def check_table(t: tuple) -> bool:
-        try:
-            tb = bytes(t)
-        except (TypeError, ValueError):
-            raise ValueError(_NOT_A_BIJECTION) from None
-        # n bytes that leave nothing of 0..n-1 behind are a permutation
-        if len(tb) != n or indices.translate(None, tb):
-            raise ValueError(_NOT_A_BIJECTION)
-        tb += above
-        for a, partners, sums in heads:
-            if partners.translate(tb).translate(rows[tb[a]]) != sums.translate(tb):
-                return False
-        return True
 
     def check_batch(cols: list[bytes]) -> bool:
         if len(cols) != n:
@@ -229,7 +213,7 @@ def _checks(u: WindowUniverse):
             return False
         fixed = {i: c[0] for i, c in enumerate(cols) if c == c[:1] * size}
         # the constant values are distinct and below n iff each removes one index
-        free = indices.translate(None, bytes(fixed.values()))
+        free = index_bytes.translate(None, bytes(fixed.values()))
         if len(free) != n - len(fixed):
             return False
         varying = [c for i, c in enumerate(cols) if i not in fixed]
@@ -296,7 +280,7 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
     The tables are not verified here, only in :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
-    order = sorted(range(n), key=lambda i: (u.sizes[i], i))
+    order = sorted(range(n), key=lambda i: (len(u.elements[i]), i))
     pair_sums = u.pair_sums
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     unit = u.index[(0,)]

@@ -1,5 +1,6 @@
-"""Every demo runs standalone and prints its walkthrough."""
+"""Every demo runs standalone and prints its walkthrough, and the README tour holds."""
 
+import doctest
 import os
 import pathlib
 import subprocess
@@ -19,3 +20,8 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_tour():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and not result.failed

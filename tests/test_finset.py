@@ -296,3 +296,8 @@ def test_parse_errors_name_offending_token():
         parse_set("{}")
     with pytest.raises(ValueError):
         parse_set("4..1")
+    # interval shorthand names the first end that is no integer
+    for text, token in (("a..b", "'a'"), ("1..x", "'x'"), ("..5", "''"), ("1..2..3", "'2..3'")):
+        with pytest.raises(ValueError) as err:
+            parse_set(text)
+        assert str(err.value) == f"bad integer {token} in interval shorthand", text

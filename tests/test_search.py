@@ -134,7 +134,8 @@ def test_verify_rejects_non_bijections():
         verify_window_map(u, (0, 0, 1, 2))
     with pytest.raises(ValueError, match="bijection"):
         verify_window_map(u, (0, 1))
-    # the byte-coded check (m <= 3) and the wide one (m >= 4)
+    # the batch-coded window (m=3) and the first one above it (m=4); a float
+    # or a string is no index, even where it equals or spells one
     for m in (3, 4):
         u = build_window(m)
         n = len(u.elements)
@@ -147,13 +148,17 @@ def test_verify_rejects_non_bijections():
             ident[:-1] + (-1,),
             ident[:-1] + (300,),
             ident[:-1] + (None,),
+            ident[:1] + (1.0,) + ident[2:],
+            ident[:1] + ("1",) + ident[2:],
         ):
             with pytest.raises(ValueError, match="bijection"):
                 verify_window_map(u, bad)
+        # a bool is an index
+        assert verify_window_map(u, ident[:1] + (True,) + ident[2:])
 
 
 def test_verify_matches_naive_table_on_identity_and_negation():
-    # 64 elements at m=3 and 256 at m=4: both sides of the one-byte limit
+    # 64 elements at m=3, up to 1024 at m=5: the one check at every radius
     for m in (1, 2, 3, 4, 5):
         u = build_window(m)
         naive = _naive_pair_sums(u)
@@ -467,9 +472,11 @@ def test_verifiers_match_naive_on_random_partial_tables():
     n = 6
     perms = list(itertools.permutations(range(n)))
     accepted = 0
-    for _ in range(40):
-        table = {pair: rng.randrange(n)
-                 for pair in itertools.combinations_with_replacement(range(n), 2) if rng.random() < 0.2}
+    randoms = [{pair: rng.randrange(n)
+                for pair in itertools.combinations_with_replacement(range(n), 2) if rng.random() < 0.2}
+               for _ in range(40)]
+    # and a table with no pairs and one with exactly one
+    for table in randoms + [{}, {(1, 2): 3}]:
         u = _stand_in_universe(n, table)
         verdicts = {t: _naive_verify(table, t) for t in perms}
         assert {t: verify_window_map(u, t) for t in perms} == verdicts

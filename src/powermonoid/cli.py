@@ -29,7 +29,7 @@ from .autos import (
     step_preimage_suite,
 )
 from .boxing import runs
-from .finset import FinSet, kfold, parse_set, sumset
+from .finset import kfold, parse_set, sumset
 from .monoid import as_zero_set, factorizations, is_atom
 from .proofsteps import OrientationError, run_end_witness, run_start_witness
 from .search import (
@@ -176,7 +176,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         )
     u = build_window(args.window)
     survivors = find_window_automorphisms(u, prune=args.prune == "on")
-    names = [str(FinSet(e)) for e in u.elements]
+    names = [str(e) for e in u.elements]
     payload: dict = {"m": args.window, "survivors": len(survivors), "elements": names}
     payload["maps"] = [[names[k] for k in t] for t in survivors[:MAPS_LIMIT]]
     if len(survivors) > MAPS_LIMIT:

@@ -42,13 +42,27 @@ class DivergenceWitness:
     rhs: FinSet
 
 
-def _coerce_pair(a: FinSet, b: FinSet) -> tuple[ZeroSet, ZeroSet]:
+def _diverge(
+    a: FinSet, b: FinSet
+) -> tuple[ZeroSet, ZeroSet, tuple[int, ...], tuple[int, ...], int | None, Divergence]:
+    """The pair as ZeroSets, their endpoint sequences and first divergence.
+
+    Returns (a, b, ea, eb, v, kind), with (v, kind) as in
+    :func:`first_divergence`.
+    """
     a, b = as_zero_set(a), as_zero_set(b)
     if (a.min, a.max) != (b.min, b.max):
         raise ValueError("endpoint bounds of the two sets must agree")
     if not (a.min < 0 < a.max):
         raise ValueError("bounds must straddle zero strictly")
-    return a, b
+    ea, eb = runs(a).endpoints, runs(b).endpoints
+    for v, (x, y) in enumerate(zip(ea, eb)):
+        if x != y:
+            kind = Divergence.RUN_START if v % 2 == 0 else Divergence.RUN_END
+            return a, b, ea, eb, v, kind
+    if a == b:
+        return a, b, ea, eb, None, Divergence.NONE
+    raise AssertionError("distinct sets with agreeing endpoint prefixes")
 
 
 def first_divergence(a: FinSet, b: FinSet) -> tuple[int | None, Divergence]:
@@ -58,15 +72,7 @@ def first_divergence(a: FinSet, b: FinSet) -> tuple[int | None, Divergence]:
     never needs to look past the shorter endpoint sequence: equal bounds
     force a difference before it runs out.
     """
-    a, b = _coerce_pair(a, b)
-    ea, eb = runs(a).endpoints, runs(b).endpoints
-    for v, (x, y) in enumerate(zip(ea, eb)):
-        if x != y:
-            kind = Divergence.RUN_START if v % 2 == 0 else Divergence.RUN_END
-            return v, kind
-    if a == b:
-        return None, Divergence.NONE
-    raise AssertionError("distinct sets with agreeing endpoint prefixes")
+    return _diverge(a, b)[4:]
 
 
 def run_start_witness(a: FinSet, b: FinSet) -> DivergenceWitness:
@@ -75,12 +81,9 @@ def run_start_witness(a: FinSet, b: FinSet) -> DivergenceWitness:
     Orientation contract: the first set must own the earlier run start
     (a_v < b_v); otherwise OrientationError tells the caller to swap.
     """
-    a, b = _coerce_pair(a, b)
-    v, kind = first_divergence(a, b)
+    a, b, ea, eb, v, kind = _diverge(a, b)
     if kind is not Divergence.RUN_START:
         raise ValueError(f"pair does not diverge at a run start (divergence: {kind.value})")
-    ea = runs(a).endpoints
-    eb = runs(b).endpoints
     if ea[v] > eb[v]:
         raise OrientationError("the second set owns the earlier run start; swap the arguments")
     # v is even and positive: index 0 is the shared minimum
@@ -104,15 +107,13 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
     wide enough to bridge every gap of both sets; c defaults to that
     minimum width and smaller values are rejected.
     """
-    a, b = _coerce_pair(a, b)
-    v, kind = first_divergence(a, b)
+    a, b, ea, eb, v, kind = _diverge(a, b)
     if kind is not Divergence.RUN_END:
         raise ValueError(f"pair does not diverge at a run end (divergence: {kind.value})")
-    ea = runs(a).endpoints
-    eb = runs(b).endpoints
     u = (v - 1) // 2
-    r = bdim(a) - 1
-    s = bdim(b) - 1
+    # the index of each set's final run
+    r = len(ea) // 2 - 1
+    s = len(eb) // 2 - 1
     if u == 0:
         raise ValueError(
             "divergence at the end of the first run is outside the supported cases; flagged for manual review"
@@ -147,7 +148,7 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
     w = eb[v] + 1
     if w not in lhs or w in rhs:
         raise AssertionError("separating point failed its membership contract")
-    if bdim(lhs) > bdim(a) - 1:
+    if bdim(lhs) > r:
         raise AssertionError("padding did not shrink the boxing dimension")
     return DivergenceWitness(Divergence.RUN_END, v, helper, w, lhs, rhs)
 

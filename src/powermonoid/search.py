@@ -24,16 +24,39 @@ fixes every isolated element, so the group is Sym(isolated) x Aut(core).
   preserves every product, since their only products are unit + x = x.
 
 So the search runs only over the core, with the isolated elements pinned:
-it backtracks over images in ascending size order with unit propagation
-over the partial table.  Optional pruning keeps, of each candidate image:
+it backtracks over images, {0,1} first and then in ascending size order,
+with unit propagation over the partial table.  Optional pruning keeps only
+the candidate images that two invariants of every window map phi allow.
 
-- the sum count, the number of in-window pairs of two non-units with that
-  sum; both factors of a window element lie in the window, so this is its
-  factorization count.  A window map phi fixes the unit, so it sends the
-  finite set of such pairs injectively, hence bijectively, into itself,
-  and the pairs with sum x onto those with sum phi x;
-- once both unit-step images are fixed, the transported bounds: the one
-  rule not proven for window maps, backed only by prune on = prune off.
+Sum counts.  The sum count of x is the number of in-window pairs of two
+non-units with sum x; both factors of a window element lie in the window,
+so this is its factorization count.  phi fixes the unit, so it sends the
+finite set of such pairs injectively, hence bijectively, into itself, and
+the pairs with sum x onto those with sum phi x.  For the same reason (phi
+X, phi Y) is an in-window pair only if (X, Y) is.
+
+Bound transport.  phi keeps the bounds (min X, max X) of every set X, or
+negates them to (-max X, -min X).  Let u = {0,1}, d = {-1,0}, and let j.u
+= [[0,j]] and j.d = [[-j,0]] for 1 <= j <= m.
+
+- The product (j-1).u + u = j.u stays in the window, so by induction
+  phi(j.u) = j.phi(u), in the window.  For j = m, a value v of phi(u) with
+  |v| >= 2 would put m.v outside [[-m,m]], so phi(u) lies in [[-1,1]], and
+  it is not {0} = phi({0}).  The same holds for d.
+- u is no sum of two non-units: such a sum A + B contains A and B, so A =
+  B = u, and u + u = [[0,2]].  So u has sum count 0, while {-1,0,1} = u + d
+  has sum count at least 1, and phi(u) is u or d.  So is phi(d), and phi is
+  injective: phi(d) = d when phi(u) = u, and phi(d) = u when phi(u) = d.
+- X + j.u is in the window iff max X + j <= m, and X + j.d iff min X - j
+  >= -m.  phi keeps in-window pairs both ways, so if phi(u) = u, then max X
+  <= m - j iff max phi(X) <= m - j for every j, and max phi(X) = max X;
+  if phi(u) = d, then max X <= m - j iff min phi(X) >= j - m, and
+  min phi(X) = -max X.  The same with d gives the minimum.
+
+So with pruning on, {0,1} goes to {-1,0} or {0,1}, and every later element
+to an unused set of its bounds class, or of the negated class when {0,1}
+went to {-1,0}, with an equal sum count.  With pruning off, every unused
+set is a candidate.
 
 Each core map and every permutation of the isolated elements form one batch
 of tables, built as byte columns: a core column is constant, an isolated one
@@ -90,7 +113,7 @@ class WindowUniverse:
     coded copy of ``pair_sums`` on the universe.
     """
 
-    __slots__ = ("m", "elements", "index", "pair_sums", "los", "his", "_check")
+    __slots__ = ("m", "elements", "index", "by_bounds", "pair_sums", "_check")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
@@ -104,13 +127,13 @@ class WindowUniverse:
         elements = [ZeroSet(_from_mask(s, -m)) for s in masks]
         self.elements = tuple(elements)
         self.index = {e.elems: i for i, e in enumerate(elements)}
-        self.los = tuple(e.min for e in elements)
-        self.his = tuple(e.max for e in elements)
         # the bounds alone decide whether a sum stays inside, so each bounds
-        # class has one ascending list of in-window partners
+        # class has one ascending list of in-window partners; the search
+        # also reads the classes, which window maps keep or negate
         by_bounds: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(elements):
             by_bounds.setdefault((e.min, e.max), []).append(i)
+        self.by_bounds = by_bounds
         partners = {
             (lo, hi): sorted(j for (lo2, hi2), js in by_bounds.items()
                              if lo + lo2 >= -m and hi + hi2 <= m for j in js)
@@ -174,7 +197,7 @@ def _checks(u: WindowUniverse):
     if u._check is not None:
         return u._check
     n = len(u.elements)
-    entries = sorted(u.pair_sums.items())
+    entries = u.pair_sums.items()
     ordered = {}
     for (i, j), k in entries:
         ordered[(i, j)] = ordered[(j, i)] = k
@@ -256,7 +279,7 @@ def negation_table(u: WindowUniverse) -> tuple[int, ...]:
 
 def as_table_spec(u: WindowUniverse, table: tuple[int, ...]) -> Table:
     """Index table rendered as an explicit source -> image Table spec."""
-    return Table((ZeroSet(u.elements[i]), ZeroSet(u.elements[k])) for i, k in enumerate(table))
+    return Table((u.elements[i], u.elements[k]) for i, k in enumerate(table))
 
 
 def isolated_elements(u: WindowUniverse) -> tuple[int, ...]:
@@ -272,15 +295,18 @@ def isolated_elements(u: WindowUniverse) -> tuple[int, ...]:
 def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int, ...]]:
     """The window automorphisms that fix every isolated element, sorted.
 
-    Backtracking assigns images smallest set first, with the isolated
-    elements pinned to themselves; assigning an image propagates every
-    in-window product with already-assigned partners, and an image sum
-    falling outside the window is an immediate conflict.  With prune on,
-    candidates are filtered first by the two rules of the module docstring.
-    The tables are not verified here, only in :func:`find_window_automorphisms`.
+    Backtracking assigns images to {0,1} first, then smallest set first,
+    with the isolated elements pinned to themselves; assigning an image
+    propagates every in-window product with already-assigned partners, and
+    an image sum falling outside the window is an immediate conflict.  With
+    prune on, {0,1} goes to {-1,0} or {0,1}, and every later element to a
+    set of its bounds class, negated when {0,1} went to {-1,0}, with its
+    sum count: the rules proven in the module docstring.  The tables are
+    not verified here, only in :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
-    order = sorted(range(n), key=lambda i: (len(u.elements[i]), i))
+    up, down = u.index[(0, 1)], u.index[(-1, 0)]
+    order = sorted(range(n), key=lambda i: (i != up, len(u.elements[i]), i))
     pair_sums = u.pair_sums
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     unit = u.index[(0,)]
@@ -292,7 +318,6 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
         if unit not in (i, j):
             nsums[k] += 1
 
-    i_up, i_down = u.index[(0, 1)], u.index[(-1, 0)]
     img: list[int | None] = [None] * n
     used = [False] * n
     for i in isolated_elements(u):
@@ -328,14 +353,11 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
     def candidates(i: int):
         if not prune:
             return [t for t in range(n) if not used[t]]
-        cands = [t for t in range(n) if not used[t] and nsums[t] == nsums[i]]
-        tu, td = img[i_up], img[i_down]
-        if tu is not None and td is not None:
-            xm, xp = -u.los[i], u.his[i]
-            plo = u.los[td] * xm + u.los[tu] * xp
-            phi = u.his[td] * xm + u.his[tu] * xp
-            cands = [t for t in cands if u.los[t] == plo and u.his[t] == phi]
-        return cands
+        if i == up:
+            return [down, up]
+        e = u.elements[i]
+        bounds = (e.min, e.max) if img[up] == up else (-e.max, -e.min)
+        return [t for t in u.by_bounds[bounds] if not used[t] and nsums[t] == nsums[i]]
 
     def dfs(pos: int) -> None:
         while pos < n and img[order[pos]] is not None:

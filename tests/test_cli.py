@@ -325,3 +325,26 @@ def test_verify_ignores_samples_where_unread(argv, capsys):
     assert expected[0] == 0 and expected[1]
     for samples in ("0", "-5"):
         assert (cli.main([*argv, "--samples", samples]), capsys.readouterr().out) == expected
+
+
+def test_package_imports_only_the_standard_library():
+    # -S keeps site-packages off the path, so a third-party import fails
+    # outright; the child also lists every top-level module it has loaded
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from powermonoid.cli import main\n"
+        "code = main(['sum', '{0}', '{0}'])\n"
+        "import json\n"
+        "print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules})), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"op": "sum", "result": "{0}"}
+    loaded = json.loads(proc.stderr)
+    assert "powermonoid" in loaded
+    assert [name for name in loaded
+            if name not in ("powermonoid", "__main__") and name not in sys.stdlib_module_names] == []

@@ -39,7 +39,7 @@ def _naive_pair_sums(u):
     table = {}
     for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
         # bounds first, so only in-window pairs pay for a naive sum
-        if u.los[i] + u.los[j] >= -u.m and u.his[i] + u.his[j] <= u.m:
+        if sets[i].min + sets[j].min >= -u.m and sets[i].max + sets[j].max <= u.m:
             table[(i, j)] = u.index[sumset_naive(sets[i], sets[j]).elems]
     return table
 
@@ -55,6 +55,24 @@ def _swapped(t, a, b):
     t = list(t)
     t[a], t[b] = t[b], t[a]
     return tuple(t)
+
+
+def _bound_transport(u):
+    """A test of one table, for m <= 4: it sends {0,1} to {0,1} or {-1,0},
+    and every set to a set with the same bounds, negated in the second case.
+    """
+    up, down = u.index[(0, 1)], u.index[(-1, 0)]
+    bounds = [(e.min, e.max) for e in u.elements]
+    ids = {b: c for c, b in enumerate(sorted(set(bounds)))}
+    kept = bytes(ids[b] for b in bounds)
+    expected = {up: kept, down: bytes(ids[(-hi, -lo)] for lo, hi in bounds)}
+    coded = kept.ljust(256, b"\xff")
+
+    def holds(t) -> bool:
+        # byte i of the translate is the bounds class of the image of i
+        return bytes(t).translate(coded) == expected.get(t[up])
+
+    return holds
 
 
 def test_universe_shape():
@@ -256,18 +274,24 @@ def test_window_two_extremal_atoms_are_unconstrained():
 
 
 def test_isolated_elements_touch_only_the_unit():
-    for m, count in ((1, 0), (2, 2), (3, 8)):
+    for m, count in ((1, 0), (2, 2), (3, 8), (4, 33), (5, 134), (6, 652)):
         u = build_window(m)
         unit = u.index[(0,)]
         iso = isolated_elements(u)
         assert len(iso) == count and unit not in iso
+        # exactly the sets spanning the window that are no in-window sum
+        counts = _sum_counts(u)
+        assert iso == tuple(i for i, e in enumerate(u.elements)
+                            if (e.min, e.max) == (-m, m) and counts[i] == 0), f"m={m}"
         # {0} is the only idempotent, so every window map fixes it
         assert [i for (i, j), k in u.pair_sums.items() if i == j == k] == [unit]
+        isolated = set(iso)
         for (a, b), k in u.pair_sums.items():
-            if {a, b, k} & set(iso):
+            if {a, b, k} & isolated:
                 assert unit in (a, b), f"m={m}: {(a, b)} -> {k}"
-        for a, b in itertools.combinations(iso, 2):
-            assert verify_window_map(u, _swapped(identity_table(u), a, b))
+        if m <= 3:
+            for a, b in itertools.combinations(iso, 2):
+                assert verify_window_map(u, _swapped(identity_table(u), a, b))
 
 
 def test_survivors_are_sym_iso_times_core():
@@ -282,6 +306,7 @@ def test_survivors_are_sym_iso_times_core():
         assert len(survivors) == math.factorial(len(iso)) * len(cores)
         assert survivors == find_window_automorphisms(u, prune=False)
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
+        assert all(map(_bound_transport(u), survivors)), f"m={m}"
 
 
 def _sum_counts(u):
@@ -322,10 +347,35 @@ def test_window_three_survivors_frozen():
         assert len(survivors) == math.factorial(len(iso)) * len(cores) == 645120
         if prune:
             assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[3]
+        # the search without pruning does not assume bound transport
+        assert all(map(_bound_transport(u), survivors)), f"prune={prune}"
         # a cheaper digest compares the two lists without holding both
         digests[prune] = hashlib.sha256(b"".join(map(bytes, survivors))).hexdigest()
         del survivors
     assert digests[True] == digests[False]
+
+
+def test_window_maps_keep_or_negate_every_bound():
+    # d1 swaps two pairs of m=4 sets with equal bounds, and d2 is d1
+    # conjugated by negation; both are window maps
+    u = build_window(4)
+    up = u.index[(0, 1)]
+    neg = negation_table(u)
+    d1 = identity_table(u)
+    for a, b in (((-3, 0, 4), (-3, 0, 3, 4)), ((-4, -3, -1, 0, 3, 4), (-4, -3, -1, 0, 2, 3, 4))):
+        d1 = _swapped(d1, u.index[a], u.index[b])
+    d2 = tuple(neg[d1[neg[i]]] for i in range(len(neg)))
+    holds = _bound_transport(u)
+    for d in (d1, d2):
+        assert d != identity_table(u)
+        assert verify_window_map(u, d) and d[up] == up and holds(d)
+    assert d1 != d2
+    for m in range(1, MAX_WINDOW + 1):
+        u = build_window(m)
+        t = negation_table(u)
+        assert t[u.index[(0, 1)]] == u.index[(-1, 0)], f"m={m}"
+        assert all((u.elements[k].min, u.elements[k].max) == (-e.max, -e.min)
+                   for e, k in zip(u.elements, t)), f"m={m}"
 
 
 def test_core_maps_increase_before_the_first_isolated_element():

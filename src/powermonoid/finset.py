@@ -28,6 +28,10 @@ from itertools import compress, repeat
 # would leave the range raise OverflowError instead of wrapping.
 MAX_ELEMENT = 2**63 - 1
 
+# parse_set refuses LO..HI shorthand of more elements than this before
+# building it; interval itself takes any size
+MAX_SHORTHAND = 10**6
+
 # The sumset route choice, by estimated work in units of one bit of a
 # shift-or.  The dense route costs _SETUP_BITS once, _CODEC_BITS per bit of
 # the sum's span for encoding and decoding, and per shifted copy the mask's
@@ -258,7 +262,8 @@ def format_set(x: FinSet) -> str:
 def parse_set(text: str) -> FinSet:
     """Parse a set literal ``{1,2,3}`` or interval shorthand ``LO..HI``.
 
-    Raises ValueError naming the offending token on malformed input.
+    Raises ValueError naming the offending token on malformed input, and
+    naming the span on shorthand of more than MAX_SHORTHAND elements.
     """
     s = text.strip()
     if s.startswith("{"):
@@ -284,5 +289,9 @@ def parse_set(text: str) -> FinSet:
                 ends.append(int(tok.strip()))
             except ValueError:
                 raise ValueError(f"bad integer {tok.strip()!r} in interval shorthand") from None
-        return interval(*ends)
+        lo, hi = ends
+        if hi - lo >= MAX_SHORTHAND:
+            raise ValueError(f"interval shorthand {lo}..{hi} spans {hi - lo + 1} elements, "
+                             f"above the cap of {MAX_SHORTHAND}")
+        return interval(lo, hi)
     raise ValueError(f"expected a set literal or LO..HI interval, got {text!r}")

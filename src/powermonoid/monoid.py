@@ -61,12 +61,6 @@ def _check_cap(x: ZeroSet, max_size: int) -> None:
         raise ValueError(f"set has {len(x)} elements, above the enumeration cap {max_size}")
 
 
-def subsets_in_mask_order(free: list[int]) -> Iterator[list[int]]:
-    """Every sublist of free, ordered by the integer whose bit i selects free[i]."""
-    for mask in range(1 << len(free)):
-        yield [v for i, v in enumerate(free) if mask >> i & 1]
-
-
 def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, list[int], int, list[tuple[int, int]]]]:
     """Every factor Y != {0} of x with min Y <= min Z, and what its Z may hold.
 
@@ -179,9 +173,12 @@ def candidates_with_bounds(lo: int, hi: int) -> list[ZeroSet]:
     """All ZeroSets with the given minimum and maximum, in mask order.
 
     Elements strictly between the endpoints are free except 0, which is
-    forced.  Returns [] when no ZeroSet can have these bounds.
+    forced; the set of mask s holds free[i] exactly when bit i of s is set,
+    and the sets come in ascending s.  Returns [] when no ZeroSet can have
+    these bounds.
     """
     if lo > hi or lo > 0 or hi < 0:
         return []
     free = [v for v in range(lo + 1, hi) if v != 0]
-    return [ZeroSet([lo, 0, hi, *sub]) for sub in subsets_in_mask_order(free)]
+    return [ZeroSet([lo, 0, hi, *(v for i, v in enumerate(free) if s >> i & 1)])
+            for s in range(1 << len(free))]

@@ -58,17 +58,23 @@ to an unused set of its bounds class, or of the negated class when {0,1}
 went to {-1,0}, with an equal sum count.  With pruning off, every unused
 set is a candidate.
 
-Each core map and every permutation of the isolated elements form one batch
-of tables, built as byte columns: a core column is constant, an isolated one
-a stride slice of the permutations.  Every reported table is verified
-against the full partial table, pruning or not: the batch at once, or table
-by table if that fails.  The batch check reads row 0 whole, then translates
-only the pairs whose partner or sum column varies, one translate per pair
-head; byte columns code batches only.  A single table is checked by one
-dict lookup per in-window pair, the same check at every radius.  The rows
-of a batch come in the lexicographic order of the permutations of the
-isolated elements, so the list needs no sort when the core maps strictly
-increase before the first isolated element.
+Coset check.  Each core map and every permutation of the isolated set I form
+one coset of tables: a first row t, the core map, and every table that
+agrees with t off I and puts t's images of I on I in any order.  Every
+reported table is verified against the full partial table, pruning or not,
+and a coset at once, without listing it.  A pair (i, j) -> k passes in a
+table s iff (s_i, s_j) is an in-window pair with sum s_k, so its verdict
+depends only on the images of its own positions, at most three.  Over the
+coset, those outside I keep t's images, and those in I take every injective
+assignment of t's images of I and nothing else, since each such assignment
+extends to a permutation of I.  So every table of the coset passes iff t
+passes every pair under each such assignment.  The check reads nothing from
+the lemma above; if it fails, each table is verified on its own.  With I
+empty it is the single-table check: one dict lookup per in-window pair, at
+every radius.  The rows of a coset are built as byte columns, a core column
+constant and an isolated one a stride slice of the permutations, and come in
+their lexicographic order, so the list needs no sort when the core maps
+strictly increase before the first isolated element.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -80,7 +86,7 @@ back to its index.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, permutations, repeat
+from itertools import permutations, repeat
 from math import factorial
 from operator import index, lshift, or_
 
@@ -91,17 +97,12 @@ from .monoid import ZeroSet
 MAX_WINDOW = 6
 
 # find_window_automorphisms lists every table: from m = 4 on, the window has
-# at least 33 isolated elements, so at least 33! tables.  Its byte-coded
-# batch check also needs the at most 64 elements of m <= 3.
+# at least 33 isolated elements, so at least 33! tables
 LIST_MAX_WINDOW = 3
 
 # window_survivors_oracle backtracks over plain bijections, checking only the
 # definition: feasible on the 16 elements of m=2, not the 64 of m=3
 ORACLE_MAX_WINDOW = 2
-
-# marks an out-of-window sum in the byte-coded table; element indices stay
-# below it while the window has at most 64 elements (m <= 3)
-_OUTSIDE = 255
 
 _NOT_A_BIJECTION = "not a bijection table over the window"
 
@@ -109,11 +110,11 @@ _NOT_A_BIJECTION = "not a bijection table over the window"
 class WindowUniverse:
     """All zero-anchored subsets of [[-m,m]] plus their partial Cayley table.
 
-    Treated as immutable once built: the table and batch checks cache their
-    coded copy of ``pair_sums`` on the universe.
+    Treated as immutable once built: the window check caches a copy of
+    ``pair_sums`` holding both orders of each pair on the universe.
     """
 
-    __slots__ = ("m", "elements", "index", "by_bounds", "pair_sums", "_check")
+    __slots__ = ("m", "elements", "index", "by_bounds", "pair_sums", "_ordered")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
@@ -153,7 +154,7 @@ class WindowUniverse:
             pair_sums.update(zip(zip(repeat(i), js),
                                  [(s >> m & low) | (s >> 2 * m + 1 << m) for s in sums]))
         self.pair_sums = pair_sums
-        self._check = None
+        self._ordered = None
 
 
 def build_window(m: int) -> WindowUniverse:
@@ -173,100 +174,48 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
     for every in-window pair (i, j) with sum k.  Raises ValueError unless
     table is a permutation of the window's indices.
     """
-    return _checks(u)[0](tuple(table))
+    return _coset_holds(u, tuple(table))
 
 
-def _checks(u: WindowUniverse):
-    """The exact tests of one table and of one column batch, coded once.
+def _coset_holds(u: WindowUniverse, table: tuple[int, ...], iso: tuple[int, ...] = ()) -> bool:
+    """Whether every table of table's coset over iso passes.
 
-    A table t passes iff it permutes the window's indices and, for every
-    in-window pair (i, j) -> k, (t[i], t[j]) is an in-window pair with sum
-    t[k]: one lookup per pair in a dict holding both orders of each pair.
-    A batch of tables is given as columns, cols[i] holding every table's
-    image of i, coded in bytes while the window has at most 64 elements.
-    Row v of the coded table holds the sum of v and b at offset b and
-    _OUTSIDE elsewhere, so a translate through it reads sums with v, and
-    the in-window pairs (a, b) -> k are grouped by their head a (16 heads
-    at m=3).  Once every row is known to be a bijection, row 0 is checked
-    whole: a pair whose head, partner and sum columns are all constant gets
-    its verdict in every row.  Then every head column must be constant v,
-    and only the pairs whose partner or sum column varies are checked for
-    the whole batch, with one translate through row v per head.  The batch
-    check is True only if every table is a bijection and passes every pair.
+    The coset holds the tables that agree with table off iso and put its
+    images of iso on iso in any order.  Raises ValueError unless table
+    permutes the window's indices.  Each in-window pair (i, j) -> k is
+    looked up in a dict holding both orders of each pair, once with table's
+    own images and, if i, j or k is in iso, once for every injective
+    assignment of table's images of iso to those positions: exact for the
+    whole coset, as the module docstring shows.
     """
-    if u._check is not None:
-        return u._check
-    n = len(u.elements)
+    ordered = u._ordered
+    if ordered is None:
+        ordered = u._ordered = {}
+        for (i, j), k in u.pair_sums.items():
+            ordered[(i, j)] = ordered[(j, i)] = k
+    t = table
+    try:
+        permutes = sorted(map(index, t)) == list(range(len(u.elements)))
+    except TypeError:
+        permutes = False
+    if not permutes:
+        raise ValueError(_NOT_A_BIJECTION)
     entries = u.pair_sums.items()
-    ordered = {}
-    for (i, j), k in entries:
-        ordered[(i, j)] = ordered[(j, i)] = k
-    indices = list(range(n))
-
-    def check_table(t) -> bool:
-        try:
-            permutes = sorted(map(index, t)) == indices
-        except TypeError:
-            permutes = False
-        if not permutes:
-            raise ValueError(_NOT_A_BIJECTION)
-        return all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in entries)
-
-    u._check = check_table, None
-    # byte columns for the at most 64 elements of m <= 3; the word test of
-    # the batch check needs every index below 128
-    if n > 64:
-        return u._check
-
-    coded = [bytearray([_OUTSIDE]) * 256 for _ in range(n)]
-    grouped: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), k in entries:
-        coded[a][b] = coded[b][a] = k
-        grouped.setdefault(a, []).append((b, k))
-    rows = list(map(bytes, coded))
-    heads = [(a, bytes(b for b, _ in pairs), bytes(k for _, k in pairs)) for a, pairs in grouped.items()]
-    index_bytes = bytes(indices)
-    join = b"".join
-
-    def check_batch(cols: list[bytes]) -> bool:
-        if len(cols) != n:
-            return False
-        size = len(cols[0])
-        if not size or any(len(c) != size for c in cols):
-            return False
-        fixed = {i: c[0] for i, c in enumerate(cols) if c == c[:1] * size}
-        # the constant values are distinct and below n iff each removes one index
-        free = index_bytes.translate(None, bytes(fixed.values()))
-        if len(free) != n - len(fixed):
-            return False
-        varying = [c for i, c in enumerate(cols) if i not in fixed]
-        if any(c.translate(None, free) for c in varying):
-            return False
-        # the values are below 128, so with 0x80 set in every byte of x ^ y no
-        # byte borrows when 1 is subtracted from each, and 0x80 falls only
-        # where x and y agree
-        low = int.from_bytes(b"\x01" * size, "big")
-        high = low << 7
-        words = [int.from_bytes(c, "big") for c in varying]
-        if any((((x ^ y) | high) - low) & high != high for x, y in combinations(words, 2)):
-            return False
-        # every row is a bijection now, and a pair whose columns are all
-        # constant holds in every row iff it holds in row 0
-        if not check_table(bytes(c[0] for c in cols)):
-            return False
-        for a, partners, sums in heads:
-            if a not in fixed:
-                return False
-            moving = [(b, k) for b, k in zip(partners, sums) if b not in fixed or k not in fixed]
-            if moving:
-                bs, ks = zip(*moving)
-                image = join(map(cols.__getitem__, bs)).translate(rows[fixed[a]])
-                if image != join(map(cols.__getitem__, ks)):
-                    return False
+    if not all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in entries):
+        return False
+    if not iso:
         return True
-
-    u._check = check_table, check_batch
-    return u._check
+    moved, values, img = set(iso), [t[x] for x in iso], list(t)
+    for (i, j), k in entries:
+        spots = moved.intersection((i, j, k))
+        if not spots:
+            continue
+        for images in permutations(values, len(spots)):
+            for x, v in zip(spots, images):
+                img[x] = v
+            if ordered.get((img[i], img[j])) != img[k]:
+                return False
+    return True
 
 
 def identity_table(u: WindowUniverse) -> tuple[int, ...]:
@@ -384,8 +333,9 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tup
 
     By the module lemma these are the core automorphisms composed with
     every permutation of the isolated elements.  Each core map gives one
-    batch of tables, built as columns, and every table is verified by
-    :func:`_window_maps`, pruning or not.  Windows above
+    coset of tables, built as columns.  Every table is verified, pruning or
+    not: the coset at once by :func:`_coset_holds`, or each table by
+    :func:`verify_window_map` if that fails.  Windows above
     :data:`LIST_MAX_WINDOW` are refused.
     """
     if u.m > LIST_MAX_WINDOW:
@@ -400,27 +350,19 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tup
     cores = core_automorphisms(u, prune)
     results = []
     for core in cores:
-        results += _window_maps(u, [moved.get(i, bytes((v,)) * size) for i, v in enumerate(core)])
-    # a batch's rows differ only at iso, in the lexicographic order of
-    # permutations(iso), so the batches come out sorted if the core maps
+        rows = list(zip(*[moved.get(i, bytes((v,)) * size) for i, v in enumerate(core)]))
+        # the first row pins iso, and the rest permute its images of iso
+        if _coset_holds(u, rows[0], iso):
+            results += rows
+        else:
+            results += [t for t in rows if verify_window_map(u, t)]
+    # a coset's rows differ only at iso, in the lexicographic order of
+    # permutations(iso), so the cosets come out sorted if the core maps
     # strictly increase before iso[0]
     head = iso[0] if iso else len(u.elements)
     if any(a[:head] >= b[:head] for a, b in zip(cores, cores[1:])):
         results.sort()
     return results
-
-
-def _window_maps(u: WindowUniverse, cols: list[bytes]) -> list[tuple[int, ...]]:
-    """The tables of one column batch that are window maps, in row order.
-
-    cols[i] holds the image of element i in every table.  The batch is
-    checked column by column at once; if that check fails, each table is
-    verified on its own with :func:`verify_window_map`.
-    """
-    tables = zip(*cols)
-    if _checks(u)[1](cols):
-        return list(tables)
-    return [t for t in tables if verify_window_map(u, t)]
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:

@@ -100,6 +100,16 @@ def test_parse_error_exits_2_and_names_token():
     assert "bad" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("span", ["0..10000000", "0..1000000000000"])
+def test_huge_interval_shorthand_is_refused_before_any_work(span):
+    start = time.perf_counter()
+    proc = run_cli("bdim", span)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"interval shorthand {span} spans" in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     assert run_cli("sum", "{0}").returncode == 2
     assert run_cli("no-such-command").returncode == 2

@@ -301,3 +301,12 @@ def test_parse_errors_name_offending_token():
         with pytest.raises(ValueError) as err:
             parse_set(text)
         assert str(err.value) == f"bad integer {token} in interval shorthand", text
+
+
+def test_interval_shorthand_cap():
+    # at most MAX_SHORTHAND elements; interval itself stays uncapped
+    assert finset.MAX_SHORTHAND == 10**6
+    assert len(parse_set("-1..999998")) == finset.MAX_SHORTHAND
+    with pytest.raises(ValueError, match=r"shorthand -1\.\.999999 spans 1000001 elements"):
+        parse_set("-1..999999")
+    assert len(interval(0, finset.MAX_SHORTHAND)) == finset.MAX_SHORTHAND + 1

@@ -152,7 +152,7 @@ def test_verify_rejects_non_bijections():
         verify_window_map(u, (0, 0, 1, 2))
     with pytest.raises(ValueError, match="bijection"):
         verify_window_map(u, (0, 1))
-    # the batch-coded window (m=3) and the first one above it (m=4); a float
+    # the largest listed window (m=3) and the first one above it (m=4); a float
     # or a string is no index, even where it equals or spells one
     for m in (3, 4):
         u = build_window(m)
@@ -379,7 +379,7 @@ def test_window_maps_keep_or_negate_every_bound():
 
 
 def test_core_maps_increase_before_the_first_isolated_element():
-    # so the batches of find_window_automorphisms follow one another in
+    # so the cosets of find_window_automorphisms follow one another in
     # order, and the list is returned without a sort
     for m in (1, 2, 3):
         u = build_window(m)
@@ -406,16 +406,31 @@ def test_every_reported_table_is_verified(monkeypatch):
     seen = []
     rejected = negation_table(u)
 
-    # find verifies each core map's batch of tables through _window_maps
-    def recording(universe, cols):
-        tables = list(zip(*cols))
+    # find checks each core map's coset through _coset_holds, and each table
+    # of a failing coset through verify_window_map, which calls it with no iso
+    def recording(universe, table, iso=()):
+        tables = list(_coset(table, iso))
         seen.extend(tables)
-        return [t for t in tables if t != rejected]
+        return rejected not in tables
 
-    monkeypatch.setattr(search, "_window_maps", recording)
+    monkeypatch.setattr(search, "_coset_holds", recording)
     got = search.find_window_automorphisms(u)
     assert len(got) == 3 and rejected not in got
     assert set(got) <= set(seen)
+
+
+def _placed(table, iso, images):
+    t = list(table)
+    for x, v in zip(iso, images):
+        t[x] = v
+    return tuple(t)
+
+
+def _coset(table, iso):
+    """The tables that agree with table off iso and put its images of iso on
+    iso in any order, in the lexicographic order of those images."""
+    for images in itertools.permutations([table[x] for x in iso]):
+        yield _placed(table, iso, images)
 
 
 def _verdict(u, t):
@@ -425,20 +440,19 @@ def _verdict(u, t):
         return "not a bijection"
 
 
-def _columns(rows):
-    """The tables in rows as a column batch: column i holds every image of i."""
-    return [bytes(col) for col in zip(*rows)]
-
-
 def _naive_verdict(naive, t):
     if sorted(t) != list(range(len(t))):
         return "not a bijection"
     return _naive_verify(naive, t)
 
 
+def _replaced(t, i, v):
+    return t[:i] + (v,) + t[i + 1:]
+
+
 @pytest.mark.parametrize("bad_at", ["first", "last"])
 @pytest.mark.parametrize("m", [2, 3])
-def test_batch_check_with_one_bad_row(m, bad_at, monkeypatch):
+def test_coset_check_with_a_bad_core(m, bad_at, monkeypatch):
     import powermonoid.search as search
 
     u = build_window(m)
@@ -447,57 +461,49 @@ def test_batch_check_with_one_bad_row(m, bad_at, monkeypatch):
     iso = isolated_elements(u)
     unit = u.index[(0,)]
     heads = {a for a, _ in u.pair_sums}
-    core, *others = core_automorphisms(u)
-    other = next(c for c in others if any(c[a] != core[a] for a in heads))
-    perms = rng.sample(list(itertools.permutations(iso)), min(200, math.factorial(len(iso))))
-
-    def composed(c, p):
-        return tuple(dict(zip(iso, p)).get(i, v) for i, v in enumerate(c))
-
-    def replaced(t, i, v):
-        return t[:i] + (v,) + t[i + 1:]
-
-    good = [composed(core, p) for p in perms]
-    # the batch check reads row 0 on its own, then the varying pairs of all rows
-    pos = 0 if bad_at == "first" else len(good) - 1
-    base = good[pos]
+    cores = core_automorphisms(u)
+    for core in cores:
+        assert search._coset_holds(u, core, iso)
+        images = [core[x] for x in iso]
+        assert all(_naive_verify(naive, _placed(core, iso, rng.sample(images, len(iso))))
+                   for _ in range(20))
+    pos = 0 if bad_at == "first" else len(cores) - 1
+    base = cores[pos]
     # a core partner of a non-unit head that heads no pair itself
     x = next(b for a, b in u.pair_sums if a != unit and b not in heads and b not in iso)
     cases = {
         "breaks a pair": (_swapped(base, x, iso[0]), False),
         "moves a head": (_swapped(base, max(heads), iso[0]), False),
-        "repeats an isolated value": (replaced(base, iso[0], base[iso[1]]), "not a bijection"),
-        "repeats a core value": (replaced(base, iso[0], base[x]), "not a bijection"),
-        "leaves the window": (replaced(base, iso[0], len(base)), "not a bijection"),
-        "head column not constant": (composed(other, perms[pos]), True),
+        "repeats an isolated value": (_replaced(base, iso[0], base[iso[1]]), "not a bijection"),
+        "repeats a core value": (_replaced(base, iso[0], base[x]), "not a bijection"),
+        "leaves the window": (_replaced(base, iso[0], len(base)), "not a bijection"),
     }
+    for name, (bad, expected) in cases.items():
+        # with no iso the coset check is the single-table check
+        assert _naive_verdict(naive, bad) == _verdict(u, bad) == expected, name
+        if expected == "not a bijection":
+            with pytest.raises(ValueError, match="bijection"):
+                search._coset_holds(u, bad, iso)
+        else:
+            assert not search._coset_holds(u, bad, iso), name
 
+    # a core map with a head moved onto a core partner, put before or after
+    # a good one: find verifies its coset table by table and keeps none, and
+    # takes the good coset whole
+    bad = _swapped(base, x, max(heads))
+    assert not _naive_verify(naive, bad)
+    real_verify = search.verify_window_map
     calls = []
-    real = search.verify_window_map
 
     def counting(universe, t):
         calls.append(t)
-        return real(universe, t)
+        return real_verify(universe, t)
 
+    listed = [bad, base] if bad_at == "first" else [base, bad]
+    monkeypatch.setattr(search, "core_automorphisms", lambda universe, prune=True: listed)
     monkeypatch.setattr(search, "verify_window_map", counting)
-    assert search._checks(u)[1](_columns(good))
-    assert search._window_maps(u, _columns(good)) == good and not calls
-    for name, (bad, expected) in cases.items():
-        rows = good[:pos] + [bad] + good[pos + 1:]
-        verdicts = [_naive_verdict(naive, t) for t in rows]
-        assert verdicts == [True] * pos + [expected] + [True] * (len(rows) - pos - 1), name
-        assert [_verdict(u, t) for t in rows] == verdicts, name
-        cols = _columns(rows)
-        assert not search._checks(u)[1](cols), name
-        # a batch of one has only constant columns, and its check is exact
-        assert search._checks(u)[1](_columns([bad])) == (expected is True), name
-        calls.clear()
-        if expected == "not a bijection":
-            with pytest.raises(ValueError, match="bijection"):
-                search._window_maps(u, cols)
-        else:
-            assert search._window_maps(u, cols) == [t for t, v in zip(rows, verdicts) if v], name
-            assert calls == rows, f"{name}: the fallback verifies every table of the batch"
+    assert search.find_window_automorphisms(u) == list(_coset(base, iso))
+    assert calls == list(_coset(bad, iso))
 
 
 def _stand_in_universe(n, pair_sums):
@@ -511,63 +517,55 @@ def _stand_in_universe(n, pair_sums):
     u.m = 1
     u.elements = tuple(range(n))
     u.pair_sums = pair_sums
-    u._check = None
+    u._ordered = None
     return u
 
 
-def test_verifiers_match_naive_on_random_partial_tables():
-    import powermonoid.search as search
+def _random_partial_tables(rng, n, count):
+    """count random pair tables over n elements, then one with no pairs and
+    one with exactly one."""
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    randoms = [{pair: rng.randrange(n) for pair in pairs if rng.random() < 0.2}
+               for _ in range(count)]
+    return randoms + [{}, {(1, 2): 3}]
 
+
+def test_verifiers_match_naive_on_random_partial_tables():
     rng = random.Random(20261018)
     n = 6
     perms = list(itertools.permutations(range(n)))
-    accepted = 0
-    randoms = [{pair: rng.randrange(n)
-                for pair in itertools.combinations_with_replacement(range(n), 2) if rng.random() < 0.2}
-               for _ in range(40)]
-    # and a table with no pairs and one with exactly one
-    for table in randoms + [{}, {(1, 2): 3}]:
+    for table in _random_partial_tables(rng, n, 40):
         u = _stand_in_universe(n, table)
         verdicts = {t: _naive_verify(table, t) for t in perms}
         assert {t: verify_window_map(u, t) for t in perms} == verdicts
         assert window_survivors_oracle(u) == [t for t in perms if verdicts[t]]
-        heads = sorted({a for a, _ in table})
-        # batches with every head column constant, then with the last head's varying
-        for keyed in (heads, heads[:-1]):
-            batches = {}
-            for t in perms:
-                batches.setdefault(tuple(t[h] for h in keyed), []).append(t)
-            for batch in batches.values():
-                cols = _columns(batch)
-                passing = [t for t in batch if verdicts[t]]
-                assert search._window_maps(u, cols) == passing
-                if keyed is heads:
-                    assert search._checks(u)[1](cols) == (passing == batch)
-                    accepted += passing == batch
-    assert accepted > 0
 
 
-def test_batch_check_refuses_an_empty_batch():
+def test_coset_check_matches_naive_on_random_partial_tables():
     import powermonoid.search as search
 
-    # an empty batch has no row 0 to read
-    for u in (build_window(2), _stand_in_universe(6, {(1, 2): 3})):
-        empty = [b""] * len(u.elements)
-        assert search._checks(u)[1](empty) is False
-        assert search._window_maps(u, empty) == []
-
-
-def test_batch_check_never_assumes_a_head_column_constant():
-    import powermonoid.search as search
-
-    # head 1 occurs in no pair but its own, and 4 and 5 occur in none
-    u = _stand_in_universe(6, {(1, 2): 3})
-    rows = [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)]
-    assert search._checks(u)[1](_columns(rows))
-    # the last row sends 0 and 1 to 0; its one pair would hold if the head
-    # column were read from the first row
-    rows[-1] = (0, 0, 2, 3, 5, 4)
-    assert not search._checks(u)[1](_columns(rows))
+    rng = random.Random(20261019)
+    n = 6
+    perms = list(itertools.permutations(range(n)))
+    isos = [iso for size in range(4) for iso in itertools.combinations(range(n), size)]
+    outcomes = set()
+    for table in _random_partial_tables(rng, n, 40):
+        u = _stand_in_universe(n, table)
+        passing = [t for t in perms if _naive_verify(table, t)]
+        cores = rng.sample(perms, 12) + rng.sample(passing, min(4, len(passing)))
+        for iso in isos:
+            for core in cores:
+                holds = all(_naive_verify(table, t) for t in _coset(core, iso))
+                assert search._coset_holds(u, core, iso) == holds, (table, iso, core)
+                outcomes.add((len(iso), holds, _naive_verify(table, core)))
+                with pytest.raises(ValueError, match="bijection"):
+                    search._coset_holds(u, _replaced(core, 0, core[-1]), iso)
+    # cosets of one table hold or fail with it; from two iso elements on,
+    # cosets hold, and cosets fail with their first row passing: only the
+    # other assignments of iso refuse those
+    assert {(0, True, True), (0, False, False), (1, True, True), (1, False, False)} <= outcomes
+    assert not {(0, False, True), (1, False, True)} & outcomes
+    assert all({(size, True, True), (size, False, True)} <= outcomes for size in (2, 3))
 
 
 def test_prune_matches_no_prune_and_oracle():
@@ -584,8 +582,7 @@ def test_oracle_shares_nothing_with_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the search")
 
-    for name in ("core_automorphisms", "isolated_elements", "verify_window_map", "_checks",
-                 "_window_maps"):
+    for name in ("core_automorphisms", "isolated_elements", "verify_window_map", "_coset_holds"):
         monkeypatch.setattr(search, name, refuse)
     for m in (1, 2):
         u = build_window(m)

@@ -14,8 +14,8 @@ It provides:
 - proofsteps: separating witnesses for same-bounds set pairs, driven by the
   first divergence of their run endpoint sequences.
 - search: exhaustive window automorphism search, split into a symmetric
-  group on the isolated elements and a searched core, with an independent
-  slow oracle.
+  group on the isolated elements and a searched core, its result a lazy
+  sequence of verified tables, with an independent slow oracle.
 - cli: the powermonoid command line.
 """
 
@@ -74,6 +74,7 @@ from .proofsteps import (
 )
 from .search import (
     MAX_WINDOW,
+    WindowMaps,
     WindowUniverse,
     as_table_spec,
     build_window,

@@ -29,7 +29,7 @@ from .autos import (
     step_preimage_suite,
 )
 from .boxing import runs
-from .finset import kfold, parse_set, sumset
+from .finset import MAX_SHORTHAND, kfold, parse_set, sumset
 from .monoid import as_zero_set, factorizations, is_atom
 from .proofsteps import OrientationError, run_end_witness, run_start_witness
 from .search import (
@@ -79,10 +79,21 @@ def _parse_auto(token: str) -> Auto:
     raise ValueError(f"unknown automorphism name: {token!r}")
 
 
+def _kfold(args: argparse.Namespace) -> str:
+    x, k = parse_set(args.x), args.k
+    # the fold spans k * (max X - min X) + 1 integers; dense sums inside it
+    # cost time quadratic in their size, so the span takes the shorthand cap
+    span = k * (x.max - x.min) + 1
+    if span > MAX_SHORTHAND:
+        raise ValueError(f"kfold of a set of width {x.max - x.min} with k = {k} spans {span} "
+                         f"integers, above the cap of {MAX_SHORTHAND}")
+    return str(kfold(x, k))
+
+
 # the single-result commands, each printed bare under --output plain
 _RESULTS = {
     "sum": lambda args: str(sumset(parse_set(args.x), parse_set(args.y))),
-    "kfold": lambda args: str(kfold(parse_set(args.x), args.k)),
+    "kfold": _kfold,
     "bdim": lambda args: runs(parse_set(args.x)).bdim,
     "runs": lambda args: runs(parse_set(args.x)).to_json(),
     "apply": lambda args: str(apply(_parse_auto(args.auto), as_zero_set(parse_set(args.x)))),

@@ -71,10 +71,17 @@ extends to a permutation of I.  So every table of the coset passes iff t
 passes every pair under each such assignment.  The check reads nothing from
 the lemma above; if it fails, each table is verified on its own.  With I
 empty it is the single-table check: one dict lookup per in-window pair, at
-every radius.  The rows of a coset are built as byte columns, a core column
-constant and an isolated one a stride slice of the permutations, and come in
-their lexicographic order, so the list needs no sort when the core maps
-strictly increase before the first isolated element.
+every radius.
+
+Listing.  The tables of a coset differ only on I, and ascend in the
+lexicographic order of the permutations of I, so the cosets of the sorted
+core maps follow one another in order when those maps strictly increase
+before the first element of I; otherwise the search raises.  The result is
+a lazy sequence of blocks, each a whole coset or the tables of a failed
+coset that passed one by one.  Table i is found by bisecting the block
+offsets and unranking a permutation of I in the factorial number system;
+iteration builds a coset's rows as byte columns, a core column constant and
+an isolated one a stride slice of the permutations.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -85,10 +92,11 @@ back to its index.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import permutations, repeat
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from itertools import islice, permutations, repeat
 from math import factorial
-from operator import index, lshift, or_
+from operator import eq, index, lshift, or_
 
 from .autos import Table
 from .finset import _from_mask
@@ -96,8 +104,9 @@ from .monoid import ZeroSet
 
 MAX_WINDOW = 6
 
-# find_window_automorphisms lists every table: from m = 4 on, the window has
-# at least 33 isolated elements, so at least 33! tables
+# find_window_automorphisms stops here: from m = 4 on, the window has at
+# least 33 isolated elements, so at least 33! tables, more than len() can
+# report, and the core search alone did not finish m = 4 in 120 s
 LIST_MAX_WINDOW = 3
 
 # window_survivors_oracle backtracks over plain bijections, checking only the
@@ -328,41 +337,137 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
     return results
 
 
-def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int, ...]]:
-    """All window automorphisms, as image-index tables sorted ascending.
+class WindowMaps(Sequence):
+    """The window automorphisms as a read-only ascending sequence of tables.
+
+    Built by :func:`find_window_automorphisms`, which verifies every block
+    before it is stored.  A block is a whole coset, kept as its first row,
+    or the explicit list of its rows that passed :func:`verify_window_map`.
+    No table is built before it is read: ``maps[i]`` unranks the
+    permutation of the isolated elements within its block, a slice is a
+    view over the same blocks, ``x in maps`` bisects, and iteration builds
+    the rows coset by coset as byte columns.  ``len``, negative indices,
+    ``index``, ``count`` and ``reversed`` work as on a list, and ``==``
+    compares elementwise with lists and other sequences of this type; the
+    repr is the list's.  There is no ``append``, ``sort`` or hash.
+    """
+
+    __slots__ = ("_iso", "_moved", "_blocks", "_starts", "_total", "_span", "_radix")
+
+    def __init__(self, iso: tuple[int, ...], moved: dict[int, bytes], blocks,
+                 span: range | None = None):
+        """iso ascending, moved the column of each element of iso over the
+        rows of a coset, blocks a list of (first row, None) for a whole coset
+        or (first row, kept rows), and span the indices into all blocks that
+        this view shows.
+        """
+        self._iso, self._moved, self._blocks = iso, moved, blocks
+        size = factorial(len(iso))
+        starts, total = [], 0
+        for _, rows in blocks:
+            starts.append(total)
+            total += size if rows is None else len(rows)
+        self._starts, self._total = starts, total
+        self._span = range(total) if span is None else span
+        # the place values of the factorial number system over len(iso) digits
+        self._radix = [factorial(q) for q in reversed(range(len(iso)))]
+
+    def _row(self, j: int) -> tuple[int, ...]:
+        b = bisect_right(self._starts, j) - 1
+        first, rows = self._blocks[b]
+        r = j - self._starts[b]
+        if rows is not None:
+            return rows[r]
+        # the r-th permutation of iso in lexicographic order, digit by digit
+        t, pool = list(first), list(self._iso)
+        for x, place in zip(self._iso, self._radix):
+            q, r = divmod(r, place)
+            t[x] = pool.pop(q)
+        return tuple(t)
+
+    def _rows(self, b: int):
+        for first, rows in self._blocks[b:]:
+            yield from _coset_rows(first, self._moved) if rows is None else rows
+
+    def __len__(self) -> int:
+        return len(self._span)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WindowMaps(self._iso, self._moved, self._blocks, self._span[i])
+        return self._row(self._span[i])
+
+    def __iter__(self):
+        span = self._span
+        if span.step < 0 or not span:
+            return map(self._row, span)
+        b = bisect_right(self._starts, span.start) - 1
+        skip = self._starts[b]
+        return islice(self._rows(b), span.start - skip, span.stop - skip, span.step)
+
+    def __contains__(self, table) -> bool:
+        # the rows of all blocks ascend, so one bisection finds a table
+        every = range(self._total)
+        try:
+            j = bisect_left(every, table, key=self._row)
+        except TypeError:
+            return False
+        return j < self._total and j in self._span and self._row(j) == table
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, WindowMaps)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _coset_rows(first: tuple[int, ...], moved: dict[int, bytes]):
+    """The rows of first's coset as tuples, in the order of the columns."""
+    size = factorial(len(moved))
+    return zip(*[moved.get(i, bytes((v,)) * size) for i, v in enumerate(first)])
+
+
+def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMaps:
+    """All window automorphisms, as a lazy ascending sequence of image-index tables.
 
     By the module lemma these are the core automorphisms composed with
     every permutation of the isolated elements.  Each core map gives one
-    coset of tables, built as columns.  Every table is verified, pruning or
-    not: the coset at once by :func:`_coset_holds`, or each table by
-    :func:`verify_window_map` if that fails.  Windows above
+    coset of tables, and each is verified here, pruning or not: the coset
+    at once by :func:`_coset_holds`, or, if that fails, each table by
+    :func:`verify_window_map`, keeping the ones that pass.  Only the tables
+    read from the result are built; see :class:`WindowMaps`.  Windows above
     :data:`LIST_MAX_WINDOW` are refused.
     """
     if u.m > LIST_MAX_WINDOW:
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
                          "too many to list")
     iso = isolated_elements(u)
-    size = factorial(len(iso))
     # row r of the blob is the r-th permutation of iso; the column of iso[q]
     # holds its q-th entry in every row
     blob = b"".join(map(bytes, permutations(iso)))
     moved = {x: blob[q::len(iso)] for q, x in enumerate(iso)}
-    cores = core_automorphisms(u, prune)
-    results = []
-    for core in cores:
-        rows = list(zip(*[moved.get(i, bytes((v,)) * size) for i, v in enumerate(core)]))
-        # the first row pins iso, and the rest permute its images of iso
-        if _coset_holds(u, rows[0], iso):
-            results += rows
-        else:
-            results += [t for t in rows if verify_window_map(u, t)]
     # a coset's rows differ only at iso, in the lexicographic order of
-    # permutations(iso), so the cosets come out sorted if the core maps
-    # strictly increase before iso[0]
+    # permutations(iso), so the cosets follow one another in order if the
+    # sorted core maps strictly increase before iso[0]
+    cores = sorted(core_automorphisms(u, prune))
     head = iso[0] if iso else len(u.elements)
     if any(a[:head] >= b[:head] for a, b in zip(cores, cores[1:])):
-        results.sort()
-    return results
+        raise RuntimeError("the core maps do not strictly increase before the first isolated "
+                           "element, so their cosets would interleave")
+    blocks = []
+    for core in cores:
+        # the first row pins iso, and the rest permute its images of iso
+        first = tuple(x if x in moved else v for x, v in enumerate(core))
+        if _coset_holds(u, first, iso):
+            blocks.append((first, None))
+        else:
+            kept = [t for t in _coset_rows(first, moved) if verify_window_map(u, t)]
+            blocks.append((first, kept))
+    return WindowMaps(iso, moved, blocks)
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:

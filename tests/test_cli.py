@@ -110,6 +110,23 @@ def test_huge_interval_shorthand_is_refused_before_any_work(span):
     assert f"interval shorthand {span} spans" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_oversized_kfold_is_refused_before_any_sum():
+    # the fold of {0,1} with k = 10**6 spans 10**6 + 1 integers: 29.6 s
+    # before the cap, now refused up front
+    start = time.perf_counter()
+    proc = run_cli("kfold", "{0,1}", "1000000")
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "spans 1000001 integers, above the cap of 1000000" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    # at the cap itself, and for sets of width 0 at any k, the fold runs
+    fold = run_json("kfold", "{0,1000}", "999")["result"]
+    assert fold == "{" + ",".join(map(str, range(0, 999001, 1000))) + "}"
+    assert run_json("kfold", "{3}", "1000000000")["result"] == "{3000000000}"
+    assert run_cli("kfold", "{0,1000}", "1000").returncode == 2
+
+
 def test_usage_error_exits_2():
     assert run_cli("sum", "{0}").returncode == 2
     assert run_cli("no-such-command").returncode == 2

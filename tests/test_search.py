@@ -4,12 +4,15 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
+from bisect import bisect_left
 
 import pytest
 
 from powermonoid import (
     FinSet,
     MAX_WINDOW,
+    WindowMaps,
     as_table_spec,
     as_zero_set,
     build_window,
@@ -417,6 +420,115 @@ def test_every_reported_table_is_verified(monkeypatch):
     got = search.find_window_automorphisms(u)
     assert len(got) == 3 and rejected not in got
     assert set(got) <= set(seen)
+
+
+def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
+    import powermonoid.search as search
+
+    real = search.core_automorphisms
+    monkeypatch.setattr(search, "core_automorphisms", lambda u, prune=True: real(u, prune) * 2)
+    with pytest.raises(RuntimeError, match="interleave"):
+        search.find_window_automorphisms(build_window(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_window_maps_index_slice_and_compare_as_their_list(m):
+    u = build_window(m)
+    maps = find_window_automorphisms(u)
+    listed = list(maps)
+    n = len(listed)
+    assert len(maps) == n == math.factorial(len(isolated_elements(u))) * len(core_automorphisms(u))
+    rng = random.Random(m)
+    for i in [0, 1, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(300)]:
+        assert maps[i] == listed[i], i
+    for i in (n, n + 5, -n - 1):
+        with pytest.raises(IndexError):
+            maps[i]
+    for s in (slice(None, -1), slice(None, None, -1), slice(5, 70, 3), slice(None, 64),
+              slice(n, None)):
+        view = maps[s]
+        assert isinstance(view, WindowMaps) and len(view) == len(listed[s]), s
+        assert view == listed[s], s
+    assert listed[:64] == maps[:64] and maps[:64] == maps[:64]
+    assert maps[::-1][1] == listed[-2] and maps[:-1][-1] == listed[-2]
+    assert maps[::-1][::-1][:70] == listed[:70]
+    # ascending, so a bisection finds identity and negation
+    for t in (identity_table(u), negation_table(u)):
+        i = bisect_left(maps, t)
+        assert maps[i] == listed[i] == t
+    drawn = random.Random(m).sample(maps, min(24, n))
+    assert drawn == random.Random(m).sample(listed, min(24, n))
+    assert all(t in maps for t in drawn)
+    outside = _swapped(identity_table(u), u.index[(0, 1)], u.index[(-1, 0, 1)])
+    assert not verify_window_map(u, outside) and outside not in maps
+    assert listed[-1] not in maps[:-1] and listed[0] not in maps[1:] and listed[0] in maps[::-1]
+    assert list(outside) not in maps and None not in maps and "x" not in maps
+    assert maps == listed and listed == maps
+    assert not maps != listed and not listed != maps
+    # a truncated view is another sequence
+    assert maps[:-1] != listed and listed != maps[:-1] and maps[:-1] != maps
+    assert maps != tuple(listed) and maps[:0] == []
+    with pytest.raises(TypeError):
+        hash(maps)
+    assert not hasattr(maps, "append") and not hasattr(maps, "sort")
+    if m <= 2:
+        assert repr(maps) == repr(listed) and list(reversed(maps)) == listed[::-1]
+
+
+def test_failing_coset_becomes_an_explicit_block(monkeypatch):
+    import powermonoid.search as search
+
+    u = build_window(3)
+    iso = isolated_elements(u)
+    full = search.find_window_automorphisms(u)
+    bad = core_automorphisms(u)[5]
+    real = search._coset_holds
+    verified = []
+
+    # the coset of bad fails as a whole; verified one at a time, the tables
+    # that put an even-placed isolated element on the last one pass
+    def holds(universe, table, iso=()):
+        return table != bad and real(universe, table, iso)
+
+    def verify(universe, t):
+        verified.append(t)
+        return t[iso[-1]] in iso[::2]
+
+    monkeypatch.setattr(search, "_coset_holds", holds)
+    monkeypatch.setattr(search, "verify_window_map", verify)
+    maps = search.find_window_automorphisms(u)
+    assert verified == list(_coset(bad, iso))
+    kept = [t for t in verified if t[iso[-1]] in iso[::2]]
+    size = math.factorial(len(iso))
+    assert len(maps) == 15 * size + len(kept) and 0 < len(kept) < size
+    assert maps[:5 * size] == full[:5 * size] and maps[-10 * size:] == full[-10 * size:]
+    # the blocks around the explicit one, as a list
+    start = 4 * size
+    expected = list(full[start:5 * size]) + kept + list(full[6 * size:7 * size])
+    assert maps[start:start + len(expected)] == expected
+    ends = (size, size + len(kept))
+    rng = random.Random(3)
+    for i in [e + d for e in ends for d in (-2, -1, 0, 1)] + rng.sample(range(len(expected)), 100):
+        assert maps[start + i] == expected[i] and maps[start + i - len(maps)] == expected[i], i
+        assert expected[i] in maps and bisect_left(maps, expected[i]) == start + i
+    for s in (slice(ends[0] - 3, ends[1] + 3), slice(ends[0] - 50, ends[1] + 50, 7),
+              slice(ends[1] + 2, ends[0] - 2, -3)):
+        assert maps[start + s.start:start + s.stop:s.step] == expected[s], s
+    rejected = [t for t in verified if t[iso[-1]] not in iso[::2]]
+    assert not any(t in maps for t in rng.sample(rejected, 100))
+
+
+def test_window_three_search_allocates_little():
+    # the result is a lazy sequence: building its 645,120 tables took about
+    # 370 MB, and an index plus the coset verdicts take well under 16 MB
+    tracemalloc.start()
+    try:
+        maps = find_window_automorphisms(build_window(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 645120
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def _placed(table, iso, images):

@@ -17,37 +17,37 @@ of a unit step, and the structural facts that force rigidity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Union
 
-from .finset import FinSet, bounds, interval, kfold, reflect, sumset
+from .finset import FinSet, _Record, bounds, interval, kfold, reflect, sumset
 from .monoid import ZeroSet, as_zero_set, candidates_with_bounds, is_atom
 
 STEP_UP = ZeroSet((0, 1))
 STEP_DOWN = ZeroSet((-1, 0))
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Negation:
-    pass
+class Negation(_Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MaxReflection:
+class MaxReflection(_Record):
     """X -> max X - X.  Additive on all zero-anchored sets, an involution
     only on those with minimum 0."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Reversal:
+
+class Reversal(_Record):
     """Negation composed after another map."""
 
-    inner: "Auto"
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Auto):
+        super().__init__(inner)
 
 
 class Table:
@@ -105,8 +105,7 @@ def verify_homomorphism(auto: Auto, pairs) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundTransport:
+class BoundTransport(_Record):
     """How a map moves set bounds, read off the images of the unit steps.
 
     up_min/up_max bound the image of {0,1}; down_min/down_max the image of
@@ -117,20 +116,18 @@ class BoundTransport:
         max = down_max*x_minus + up_max*x_plus
     """
 
-    up_min: int
-    up_max: int
-    down_min: int
-    down_max: int
+    __slots__ = ("up_min", "up_max", "down_min", "down_max")
 
-    def __post_init__(self):
+    def __init__(self, up_min: int, up_max: int, down_min: int, down_max: int):
         ok = (
-            self.up_min <= 0 <= self.up_max
-            and self.down_min <= 0 <= self.down_max
-            and self.up_max - self.up_min > 0
-            and self.down_max - self.down_min > 0
+            up_min <= 0 <= up_max
+            and down_min <= 0 <= down_max
+            and up_max - up_min > 0
+            and down_max - down_min > 0
         )
         if not ok:
             raise ValueError("not a valid image pair")
+        super().__init__(up_min, up_max, down_min, down_max)
 
 
 def transport_from_images(img_up: FinSet, img_down: FinSet) -> BoundTransport:
@@ -191,13 +188,13 @@ def solve_step_preimage_system(bound: int) -> list[tuple[int, int, int, int, int
     return sols
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """One named sub-check of a verification suite."""
 
-    name: str
-    passed: bool
-    witness: dict
+    __slots__ = ("name", "passed", "witness")
+
+    def __init__(self, name: str, passed: bool, witness: dict):
+        super().__init__(name, passed, witness)
 
 
 def _random_zero_set(rng: random.Random, lo: int, hi: int) -> ZeroSet:

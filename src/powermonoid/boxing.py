@@ -8,16 +8,16 @@ arguments in :mod:`powermonoid.proofsteps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .finset import FinSet
+from .finset import FinSet, _Record
 
 
-@dataclass(frozen=True)
-class RunProfile:
+class RunProfile(_Record):
     """The maximal runs of a set as ascending (lo, hi) pairs."""
 
-    runs: tuple[tuple[int, int], ...]
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[int, int], ...]):
+        super().__init__(runs)
 
     @property
     def bdim(self) -> int:

@@ -295,3 +295,53 @@ def parse_set(text: str) -> FinSet:
                              f"above the cap of {MAX_SHORTHAND}")
         return interval(lo, hi)
     raise ValueError(f"expected a set literal or LO..HI interval, got {text!r}")
+
+
+class _Record:
+    """Base of the package's read-only value records.
+
+    A subclass names its fields in ``__slots__`` and passes their values,
+    in that order, to this ``__init__``.  Records of one type compare and
+    hash field by field, repr as ``Name(field=value, ...)``, match by
+    position in ``case`` patterns and refuse assignment with
+    ``AttributeError``, as frozen dataclasses do, without importing
+    ``dataclasses`` and, through it, ``inspect``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__}() takes {len(self.__slots__)} values, "
+                            f"got {len(values)}")
+        for field, value in zip(self.__slots__, values):
+            object.__setattr__(self, field, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since assignment is refused
+        return type(self), self._values()

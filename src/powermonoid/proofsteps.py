@@ -14,11 +14,10 @@ shorter run survives on one side only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .boxing import bdim, from_runs, runs
-from .finset import FinSet, interval, make_set, sumset
+from .finset import FinSet, _Record, interval, make_set, sumset
 from .monoid import ZeroSet, as_zero_set
 
 
@@ -32,14 +31,12 @@ class OrientationError(ValueError):
     """The pair is valid but the arguments are in the wrong order."""
 
 
-@dataclass(frozen=True)
-class DivergenceWitness:
-    case: Divergence
-    v: int
-    helper: FinSet
-    witness_point: int
-    lhs: FinSet
-    rhs: FinSet
+class DivergenceWitness(_Record):
+    __slots__ = ("case", "v", "helper", "witness_point", "lhs", "rhs")
+
+    def __init__(self, case: Divergence, v: int, helper: FinSet, witness_point: int,
+                 lhs: FinSet, rhs: FinSet):
+        super().__init__(case, v, helper, witness_point, lhs, rhs)
 
 
 def _diverge(

@@ -98,7 +98,6 @@ from itertools import islice, permutations, repeat
 from math import factorial
 from operator import eq, index, lshift, or_
 
-from .autos import Table
 from .finset import _from_mask
 from .monoid import ZeroSet
 
@@ -235,8 +234,11 @@ def negation_table(u: WindowUniverse) -> tuple[int, ...]:
     return tuple(u.index[tuple(sorted(-v for v in e))] for e in u.elements)
 
 
-def as_table_spec(u: WindowUniverse, table: tuple[int, ...]) -> Table:
-    """Index table rendered as an explicit source -> image Table spec."""
+def as_table_spec(u: WindowUniverse, table: tuple[int, ...]):
+    """Index table rendered as an explicit source -> image :class:`~powermonoid.autos.Table`."""
+    # imported here so that loading the search does not load autos
+    from .autos import Table
+
     return Table((u.elements[i], u.elements[k]) for i, k in enumerate(table))
 
 

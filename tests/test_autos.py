@@ -1,6 +1,8 @@
 """Named automorphisms, bound transport, and the verification suites."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,8 @@ from hypothesis import given, strategies as st
 from conftest import zero_sets
 from powermonoid import (
     BoundTransport,
+    CheckResult,
+    DivergenceWitness,
     Identity,
     MaxReflection,
     Negation,
@@ -20,6 +24,8 @@ from powermonoid import (
     predict_bounds,
     reflect,
     rigidity_suite,
+    run_start_witness,
+    runs,
     solve_step_preimage_system,
     step_preimage_suite,
     sumset,
@@ -186,3 +192,36 @@ def test_homomorphism_check_agrees_with_direct_expansion(x, y):
         (sumset(x, y), apply(Negation(), sumset(x, y))),
     ])
     assert verify_homomorphism(t, [(x, y)])
+
+
+def test_records_are_read_only_values():
+    # the records behave as frozen dataclasses did, without that import
+    witness = run_start_witness(as_zero_set({-2, 0, 2, 5}), as_zero_set({-2, 0, 3, 5}))
+    records = [Identity(), Negation(), MaxReflection(), Reversal(Reversal(Negation())),
+               BoundTransport(0, 1, -1, 0), CheckResult("c", True, {"n": 1}),
+               runs(as_zero_set({0, 1, 3})), witness]
+    for record in records:
+        assert record == copy.copy(record) == pickle.loads(pickle.dumps(record))
+        assert all(other != record for other in records if other is not record)
+        field = (type(record).__match_args__ or ("anything",))[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert Identity() != Negation() and hash(Identity()) == hash(Negation())
+    assert Reversal(Identity()) == Reversal(Identity()) != Reversal(Negation())
+    assert hash(Reversal(Identity())) == hash(Reversal(Identity()))
+    assert repr(Reversal(Negation())) == "Reversal(inner=Negation())"
+    assert repr(BoundTransport(0, 1, -1, 0)) == (
+        "BoundTransport(up_min=0, up_max=1, down_min=-1, down_max=0)")
+    assert repr(CheckResult("c", True, {"n": 1})) == "CheckResult(name='c', passed=True, witness={'n': 1})"
+    assert repr(witness).startswith("DivergenceWitness(case=<Divergence.RUN_START: 'run-start'>, v=")
+    assert BoundTransport(up_min=0, up_max=1, down_min=-1, down_max=0) == BoundTransport(0, 1, -1, 0)
+    assert isinstance(witness, DivergenceWitness) and witness.witness_point == 2
+    with pytest.raises(TypeError):
+        hash(CheckResult("c", True, {}))
+    with pytest.raises(TypeError):
+        Identity(1)
+    match Reversal(MaxReflection()):
+        case Reversal(inner):
+            assert inner == MaxReflection()

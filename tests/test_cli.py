@@ -354,24 +354,141 @@ def test_verify_ignores_samples_where_unread(argv, capsys):
         assert (cli.main([*argv, "--samples", samples]), capsys.readouterr().out) == expected
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# the library modules, each loaded by the stdlib-only check below
+LIBRARY = sorted(path.stem for path in (SRC / "powermonoid").glob("*.py")
+                 if path.stem not in ("__init__", "__main__", "cli"))
+
+
+def run_isolated(code):
+    """Run code in a child with -S, which keeps site-packages off the path,
+    and this checkout's src first on it."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+
+
 def test_package_imports_only_the_standard_library():
-    # -S keeps site-packages off the path, so a third-party import fails
-    # outright; the child also lists every top-level module it has loaded
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
+    # a third-party import fails outright under -S; the child loads every
+    # library module, runs a command and lists the top-level modules it has
+    proc = run_isolated(
+        "import importlib\n"
+        f"for name in {LIBRARY!r}:\n"
+        "    importlib.import_module('powermonoid.' + name)\n"
         "from powermonoid.cli import main\n"
         "code = main(['sum', '{0}', '{0}'])\n"
         "import json\n"
-        "print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules})), file=sys.stderr)\n"
+        "top = sorted({name.partition('.')[0] for name in sys.modules})\n"
+        "ours = sorted(name for name in sys.modules if name.startswith('powermonoid.'))\n"
+        "print(json.dumps([top, ours]), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"op": "sum", "result": "{0}"}
-    loaded = json.loads(proc.stderr)
+    loaded, submodules = json.loads(proc.stderr)
     assert "powermonoid" in loaded
     assert [name for name in loaded
             if name not in ("powermonoid", "__main__") and name not in sys.stdlib_module_names] == []
+    assert submodules == sorted(f"powermonoid.{name}" for name in [*LIBRARY, "cli"])
+    assert {"autos", "boxing", "finset", "monoid", "proofsteps", "search"} <= set(LIBRARY)
+
+
+# the library modules each command loads, besides the package and cli;
+# a module that shows up here unasked costs every such process its compile
+COMMAND_MODULES = [
+    (("sum", "{0}", "{0}"), 0, ["finset"]),
+    (("kfold", "{0,1}", "2"), 0, ["finset"]),
+    (("bdim", "{0,2}"), 0, ["boxing", "finset"]),
+    (("runs", "{0,2}"), 0, ["boxing", "finset"]),
+    (("factor", "{0,1,2}"), 0, ["finset", "monoid"]),
+    (("apply", "negation", "{0,1}"), 0, ["autos", "finset", "monoid"]),
+    (("verify", "lemma22"), 0, ["autos", "finset", "monoid"]),
+    (("verify", "theorem", *_DIVERGENT), 0, ["boxing", "finset", "monoid", "proofsteps"]),
+    (("search-autos", "--window", "1"), 0, ["finset", "monoid", "search"]),
+    (("search-autos", "--window", "4"), 2, ["finset", "monoid", "search"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(argv, code, modules):
+    proc = run_isolated(
+        "import json\n"
+        "from powermonoid.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == code, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert [name for name in loaded if name.startswith("powermonoid")] == sorted(
+        ["powermonoid", "powermonoid.cli", *(f"powermonoid.{name}" for name in modules)])
+    # frozen dataclasses pulled both in, at about 7 ms a process
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = run_isolated(
+        "import json, powermonoid\n"
+        "def ours():\n"
+        "    return sorted(name for name in sys.modules if name.startswith('powermonoid.'))\n"
+        "before = ours()\n"
+        "powermonoid.sumset\n"
+        "print(json.dumps([before, ours()]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], ["powermonoid.finset"]]
+
+
+def test_search_help_names_the_window_cap_of_search():
+    # cli writes the cap out in its help rather than import search to read it
+    from powermonoid.search import LIST_MAX_WINDOW
+
+    proc = run_cli("search-autos", "--help")
+    assert proc.returncode == 0
+    assert f"window radius (1..{LIST_MAX_WINDOW})" in proc.stdout
+
+
+# the names the package exported when it imported every submodule eagerly
+EXPORTS = {
+    "finset": ["MAX_ELEMENT", "FinSet", "bounds", "format_set", "interval", "kfold", "make_set",
+               "parse_set", "reflect", "sumset", "sumset_naive", "translate"],
+    "boxing": ["RunProfile", "bdim", "from_runs", "runs"],
+    "monoid": ["UNIT", "ZeroSet", "as_zero_set", "candidates_with_bounds", "factorizations",
+               "is_atom"],
+    "autos": ["Auto", "BoundTransport", "CheckResult", "Identity", "MaxReflection", "Negation",
+              "Reversal", "Table", "absorption_suite", "apply", "check_absorption_identity",
+              "predict_bounds", "rigidity_suite", "solve_step_preimage_system",
+              "step_preimage_suite", "transport_from_images", "verify_homomorphism"],
+    "proofsteps": ["Divergence", "DivergenceWitness", "OrientationError", "first_divergence",
+                   "induction_measure", "random_run_end_pair", "random_run_start_pair",
+                   "run_end_witness", "run_start_witness"],
+    "search": ["MAX_WINDOW", "WindowMaps", "WindowUniverse", "as_table_spec", "build_window",
+               "find_window_automorphisms", "identity_table", "negation_table",
+               "verify_window_map", "window_survivors_oracle"],
+}
+
+
+def test_lazy_namespace_keeps_the_public_api():
+    import importlib
+
+    import powermonoid
+
+    names = [name for module in EXPORTS.values() for name in module]
+    assert len(names) == len(set(names)) == 58
+    assert sorted(powermonoid.__all__) == sorted(names)
+    assert len(powermonoid.__all__) == 58
+    for module, exported in EXPORTS.items():
+        home = importlib.import_module(f"powermonoid.{module}")
+        assert getattr(powermonoid, module) is home
+        for name in exported:
+            assert getattr(powermonoid, name) is getattr(home, name), name
+    star: dict = {}
+    exec("from powermonoid import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(names)
+    assert all(star[name] is getattr(powermonoid, name) for name in names)
+    assert set(names) | set(EXPORTS) <= set(dir(powermonoid))
+    with pytest.raises(AttributeError, match=r"^module 'powermonoid' has no attribute 'nope'$"):
+        powermonoid.nope
+    assert not hasattr(powermonoid, "cli_main")
+    assert powermonoid.__version__ == "0.1.0"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -475,6 +476,27 @@ def test_window_maps_index_slice_and_compare_as_their_list(m):
         assert repr(maps) == repr(listed) and list(reversed(maps)) == listed[::-1]
 
 
+def _reads_as(rows, expected):
+    """Whether two iterables yield equal rows, compared one pair at a time
+    rather than as two lists of up to 645,120 tables."""
+    return all(itertools.starmap(operator.eq, itertools.zip_longest(rows, expected)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_window_maps_read_backwards_as_their_reversed_list(m):
+    # backwards, each row is unranked on its own rather than read from the
+    # coset columns, so check that path against the list too
+    maps = find_window_automorphisms(build_window(m))
+    listed = list(maps)
+    n = len(listed)
+    assert maps[::-1] == listed[::-1] and _reads_as(reversed(maps), reversed(listed))
+    for s in (slice(None, None, -3), slice(n // 2, 1, -3), slice(-2, -n - 5, -7),
+              slice(3, n // 3, -3)):
+        view = maps[s]
+        assert view == listed[s] and _reads_as(reversed(view), reversed(listed[s])), s
+    assert maps[::-3][::-1] == listed[::-3][::-1] and maps[::-1][5:50:-1] == []
+
+
 def test_failing_coset_becomes_an_explicit_block(monkeypatch):
     import powermonoid.search as search
 
@@ -513,7 +535,8 @@ def test_failing_coset_becomes_an_explicit_block(monkeypatch):
         assert expected[i] in maps and bisect_left(maps, expected[i]) == start + i
     for s in (slice(ends[0] - 3, ends[1] + 3), slice(ends[0] - 50, ends[1] + 50, 7),
               slice(ends[1] + 2, ends[0] - 2, -3)):
-        assert maps[start + s.start:start + s.stop:s.step] == expected[s], s
+        view = maps[start + s.start:start + s.stop:s.step]
+        assert view == expected[s] and list(reversed(view)) == expected[s][::-1], s
     rejected = [t for t in verified if t[iso[-1]] not in iso[::2]]
     assert not any(t in maps for t in rng.sample(rejected, 100))
 

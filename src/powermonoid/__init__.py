@@ -13,9 +13,10 @@ It provides:
   images, and the named verification suites behind the rigidity argument.
 - proofsteps: separating witnesses for same-bounds set pairs, driven by the
   first divergence of their run endpoint sequences.
-- search: exhaustive window automorphism search, split into a symmetric
-  group on the isolated elements and a searched core, its result a lazy
-  sequence of verified tables, with an independent slow oracle.
+- search: exhaustive window automorphism search, split into the symmetric
+  groups of the twin components and a searched quotient of rank-monotone
+  maps, its result a lazy sequence of verified tables, with an independent
+  slow oracle.
 - cli: the powermonoid command line.
 
 The namespace is lazy (PEP 562): ``import powermonoid`` loads no submodule,

@@ -17,7 +17,6 @@ of a unit step, and the structural facts that force rigidity.
 from __future__ import annotations
 
 import random
-from typing import Union
 
 from .finset import FinSet, _Record, bounds, interval, kfold, reflect, sumset
 from .monoid import ZeroSet, as_zero_set, candidates_with_bounds, is_atom
@@ -76,7 +75,7 @@ class Table:
             raise ValueError(f"set not in table domain: {x}") from None
 
 
-Auto = Union[Identity, Negation, MaxReflection, Reversal, Table]
+Auto = Identity | Negation | MaxReflection | Reversal | Table
 
 
 def apply(auto: Auto, x: FinSet) -> ZeroSet:

@@ -5,35 +5,40 @@ partial Cayley table of the sums that stay inside.  A window automorphism is
 a bijection of the window respecting every such in-window product, with
 image sums required to stay in the window too.
 
-The isolated elements are the non-units that occur in no in-window product
-except unit + x = x, as a summand or as a sum: 0, 2 and 8 of them at
-m = 1, 2, 3.  The rest, the unit included, is the core.
+Closure.  A window map phi sends the finite set of in-window pairs
+injectively into itself, hence bijectively: (phi X, phi Y) is an in-window
+pair with sum phi Z iff (X, Y) is one with sum Z.  So the inverse of a
+window map is a window map, and so is a composite of two: the window maps
+form a group G.
 
-Lemma.  The window automorphisms are exactly the maps that permute the
-isolated elements arbitrarily and act on the core by an automorphism that
-fixes every isolated element, so the group is Sym(isolated) x Aut(core).
+Twins.  Let T be the transpositions in G.  If (a b) and (b c) are in T,
+so is (a c) = (a b)(b c)(a b), so T splits the elements it moves into
+components, each a set whose every two elements swap cleanly, and <T> is
+the product of the symmetric groups of the components.  Call a map
+rank-monotone if it sends each component onto a component, its r-th
+smallest element to the r-th smallest.
 
-- Every window map fixes the unit: {0} is the only in-window idempotent,
-  since X + X is larger than X for every other X.
-- A map sends the core onto the core, hence the isolated elements onto
-  themselves: a core element x other than the unit occurs in some product
-  (a, b) -> k with a and b not the unit, and the image product
-  (phi a, phi b) -> phi k has phi a and phi b not the unit either, so
-  phi x is in the core; phi is injective and the core is finite.
-- A permutation of the isolated elements that fixes everything else
-  preserves every product, since their only products are unit + x = x.
+Lemma.  The rank-monotone members of G form a group H, and every member of
+G is one member of H composed with one member of <T>, so |G| is the product
+of |C|! over the components C times |H|.
 
-So the search runs only over the core, with the isolated elements pinned:
-it backtracks over images, {0,1} first and then in ascending size order,
-with unit propagation over the partial table.  Optional pruning keeps only
-the candidate images that two invariants of every window map phi allow.
+- g in G conjugates (a b) in T to (g a  g b), again in T, so g sends each
+  component onto a component of its size and each element outside the
+  components outside them.
+- So each coset g<T> holds exactly one rank-monotone map: g composed with
+  the permutation of each component that sorts g's images of it.
+- Rank-monotone maps compose, and the only one in <T> is the identity.
+
+The largest component is the set of isolated elements at m = 2, 3 and 4,
+the non-units that occur in no in-window product except unit + x = x.  At
+m = 1 it is {-1,0} with {0,1}, whose swap is negation.
 
 Sum counts.  The sum count of x is the number of in-window pairs of two
 non-units with sum x; both factors of a window element lie in the window,
-so this is its factorization count.  phi fixes the unit, so it sends the
-finite set of such pairs injectively, hence bijectively, into itself, and
-the pairs with sum x onto those with sum phi x.  For the same reason (phi
-X, phi Y) is an in-window pair only if (X, Y) is.
+so this is its factorization count.  phi fixes the unit {0}, the only
+in-window idempotent, since X + X is larger than X for every other X.  So
+by closure it sends the pairs of two non-units with sum x onto those with
+sum phi x, and (phi X, phi Y) is an in-window pair only if (X, Y) is.
 
 Bound transport.  phi keeps the bounds (min X, max X) of every set X, or
 negates them to (-max X, -min X).  Let u = {0,1}, d = {-1,0}, and let j.u
@@ -53,35 +58,40 @@ negates them to (-max X, -min X).  Let u = {0,1}, d = {-1,0}, and let j.u
   if phi(u) = d, then max X <= m - j iff min phi(X) >= j - m, and
   min phi(X) = -max X.  The same with d gives the minimum.
 
-So with pruning on, {0,1} goes to {-1,0} or {0,1}, and every later element
-to an unused set of its bounds class, or of the negated class when {0,1}
-went to {-1,0}, with an equal sum count.  With pruning off, every unused
-set is a candidate.
+Finding T.  A transposition in G other than ({-1,0} {0,1}) fixes {0,1},
+so it keeps the bounds, the sum count, and the number of in-window triples
+(i, j) -> k that touch an element, since G maps those triples onto
+themselves.  Twins share all three, so only pairs of equal invariants, and
+the one pair ({-1,0} {0,1}), are verified.  In a class of equal
+invariants, the first element's twins form its component with it, by
+transitivity, and the rest of the class splits the same way.
 
-Coset check.  Each core map and every permutation of the isolated set I form
-one coset of tables: a first row t, the core map, and every table that
-agrees with t off I and puts t's images of I on I in any order.  Every
-reported table is verified against the full partial table, pruning or not,
-and a coset at once, without listing it.  A pair (i, j) -> k passes in a
-table s iff (s_i, s_j) is an in-window pair with sum s_k, so its verdict
-depends only on the images of its own positions, at most three.  Over the
-coset, those outside I keep t's images, and those in I take every injective
-assignment of t's images of I and nothing else, since each such assignment
-extends to a permutation of I.  So every table of the coset passes iff t
-passes every pair under each such assignment.  The check reads nothing from
-the lemma above; if it fails, each table is verified on its own.  With I
-empty it is the single-table check: one dict lookup per in-window pair, at
-every radius.
+Search.  The search finds H.  It backtracks over images, {0,1} first and
+then in ascending size order, with unit propagation over the partial
+table.  An element goes to an element of its rank in a component of its
+size, or outside the components if it lies outside, and its whole
+component is assigned with it, as the lemma allows.  With pruning on,
+{0,1} goes to {-1,0} or {0,1}, and every later element to an unused set of
+its bounds class, or of the negated class when {0,1} went to {-1,0}, with
+an equal sum count.  With pruning off, every unused set is a candidate.
 
-Listing.  The tables of a coset differ only on I, and ascend in the
-lexicographic order of the permutations of I, so the cosets of the sorted
-core maps follow one another in order when those maps strictly increase
-before the first element of I; otherwise the search raises.  The result is
-a lazy sequence of blocks, each a whole coset or the tables of a failed
-coset that passed one by one.  Table i is found by bisecting the block
-offsets and unranking a permutation of I in the factorial number system;
-iteration builds a coset's rows as byte columns, a core column constant and
-an isolated one a stride slice of the permutations.
+Listing.  Let L be the largest component, the only one of its size at
+m <= 3, so every member of H fixes it pointwise.  Each member of H,
+composed with every arrangement of the other components, is the first row
+t of a block: the coset t Sym(L), the tables that agree with t off L and
+put L on itself in any order.  By closure, every table of the block is a
+window map iff t and each (L[0] b) are, and those transpositions are in T
+since L is a component.  So each first row is verified against the full
+partial table and checked to fix L pointwise, pruning or not, and a
+failing one raises; the check holds no matter how large the other
+components are.  The tables of a block
+ascend in the lexicographic order of the permutations of L, so the blocks
+of the sorted first rows follow one another in order when those rows
+strictly increase before L[0]; otherwise the search raises too.  The
+result is a lazy sequence of blocks: table i is the (i mod |L|!)-th
+permutation of L over block i div |L|!, unranked in the factorial number
+system; iteration builds a block's rows as byte columns, a column off L
+constant and one on L a stride slice of the permutations.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -92,9 +102,9 @@ back to its index.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import islice, permutations, repeat
+from itertools import islice, permutations, product, repeat
 from math import factorial
 from operator import eq, index, lshift, or_
 
@@ -103,9 +113,9 @@ from .monoid import ZeroSet
 
 MAX_WINDOW = 6
 
-# find_window_automorphisms stops here: from m = 4 on, the window has at
-# least 33 isolated elements, so at least 33! tables, more than len() can
-# report, and the core search alone did not finish m = 4 in 120 s
+# find_window_automorphisms stops here: m = 4 has a twin component of 33
+# isolated elements and about 6*10^46 tables, more than len() can report,
+# though the search for H finishes m = 4 in under 0.1 s
 LIST_MAX_WINDOW = 3
 
 # window_survivors_oracle backtracks over plain bijections, checking only the
@@ -179,51 +189,23 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
     """Full check of one bijection table against every in-window pair.
 
     True iff (table[i], table[j]) is an in-window pair with sum table[k]
-    for every in-window pair (i, j) with sum k.  Raises ValueError unless
-    table is a permutation of the window's indices.
-    """
-    return _coset_holds(u, tuple(table))
-
-
-def _coset_holds(u: WindowUniverse, table: tuple[int, ...], iso: tuple[int, ...] = ()) -> bool:
-    """Whether every table of table's coset over iso passes.
-
-    The coset holds the tables that agree with table off iso and put its
-    images of iso on iso in any order.  Raises ValueError unless table
-    permutes the window's indices.  Each in-window pair (i, j) -> k is
-    looked up in a dict holding both orders of each pair, once with table's
-    own images and, if i, j or k is in iso, once for every injective
-    assignment of table's images of iso to those positions: exact for the
-    whole coset, as the module docstring shows.
+    for every in-window pair (i, j) with sum k: one lookup per pair in a
+    dict holding both orders of each pair.  Raises ValueError unless table
+    is a permutation of the window's indices.
     """
     ordered = u._ordered
     if ordered is None:
         ordered = u._ordered = {}
         for (i, j), k in u.pair_sums.items():
             ordered[(i, j)] = ordered[(j, i)] = k
-    t = table
+    t = tuple(table)
     try:
         permutes = sorted(map(index, t)) == list(range(len(u.elements)))
     except TypeError:
         permutes = False
     if not permutes:
         raise ValueError(_NOT_A_BIJECTION)
-    entries = u.pair_sums.items()
-    if not all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in entries):
-        return False
-    if not iso:
-        return True
-    moved, values, img = set(iso), [t[x] for x in iso], list(t)
-    for (i, j), k in entries:
-        spots = moved.intersection((i, j, k))
-        if not spots:
-            continue
-        for images in permutations(values, len(spots)):
-            for x, v in zip(spots, images):
-                img[x] = v
-            if ordered.get((img[i], img[j])) != img[k]:
-                return False
-    return True
+    return all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in u.pair_sums.items())
 
 
 def identity_table(u: WindowUniverse) -> tuple[int, ...]:
@@ -242,27 +224,58 @@ def as_table_spec(u: WindowUniverse, table: tuple[int, ...]):
     return Table((u.elements[i], u.elements[k]) for i, k in enumerate(table))
 
 
-def isolated_elements(u: WindowUniverse) -> tuple[int, ...]:
-    """The non-units that occur in no in-window product except unit + x = x."""
+def twin_components(u: WindowUniverse) -> list[tuple[int, ...]]:
+    """The components of T, the transpositions that are window maps, sorted.
+
+    Each component is an ascending index tuple of at least two elements.
+    Only pairs of equal bounds, sum count and number of touching in-window
+    triples are checked with :func:`verify_window_map`, plus ({-1,0}
+    {0,1}): in each class of those invariants, the first element's twins
+    form its component with it, and the rest of the class splits the same
+    way.  See the module docstring.
+    """
+    n = len(u.elements)
     unit = u.index[(0,)]
-    touched = {unit}
+    nsums, ntriples = [0] * n, [0] * n
     for (i, j), k in u.pair_sums.items():
         if unit not in (i, j):
-            touched.update((i, j, k))
-    return tuple(i for i in range(len(u.elements)) if i not in touched)
+            nsums[k] += 1
+        for v in {i, j, k}:
+            ntriples[v] += 1
+    classes: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, e in enumerate(u.elements):
+        classes.setdefault((e.min, e.max, nsums[i], ntriples[i]), []).append(i)
+
+    def swaps(a: int, b: int) -> bool:
+        t = list(range(n))
+        t[a], t[b] = b, a
+        return verify_window_map(u, t)
+
+    pair = tuple(sorted((u.index[(-1, 0)], u.index[(0, 1)])))
+    comps = [pair] if swaps(*pair) else []
+    for rest in classes.values():
+        while len(rest) > 1:
+            first = rest[0]
+            comp = [first] + [b for b in rest[1:] if swaps(first, b)]
+            if len(comp) > 1:
+                comps.append(tuple(comp))
+            rest = [b for b in rest if b not in comp]
+    return sorted(comps)
 
 
 def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int, ...]]:
-    """The window automorphisms that fix every isolated element, sorted.
+    """H, the rank-monotone window automorphisms, sorted.
 
-    Backtracking assigns images to {0,1} first, then smallest set first,
-    with the isolated elements pinned to themselves; assigning an image
-    propagates every in-window product with already-assigned partners, and
-    an image sum falling outside the window is an immediate conflict.  With
-    prune on, {0,1} goes to {-1,0} or {0,1}, and every later element to a
-    set of its bounds class, negated when {0,1} went to {-1,0}, with its
-    sum count: the rules proven in the module docstring.  The tables are
-    not verified here, only in :func:`find_window_automorphisms`.
+    Backtracking assigns images to {0,1} first, then smallest set first;
+    assigning an image propagates every in-window product with
+    already-assigned partners, and an image sum falling outside the window
+    is an immediate conflict.  An element goes to an element of its rank in
+    a component of its size, or outside the components if it lies outside,
+    and its whole component is assigned with it.  With prune on, {0,1} goes
+    to {-1,0} or {0,1}, and every later element to a set of its bounds
+    class, negated when {0,1} went to {-1,0}, with its sum count.  These
+    are the rules proven in the module docstring.  The tables are not
+    verified here, only in :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
     up, down = u.index[(0, 1)], u.index[(-1, 0)]
@@ -277,12 +290,15 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
             neighbors[j].append((i, k))
         if unit not in (i, j):
             nsums[k] += 1
+    # each element's component, empty outside them, and its rank there
+    home: list[tuple[int, ...]] = [()] * n
+    rank = [0] * n
+    for comp in twin_components(u):
+        for r, x in enumerate(comp):
+            home[x], rank[x] = comp, r
 
     img: list[int | None] = [None] * n
     used = [False] * n
-    for i in isolated_elements(u):
-        img[i] = i
-        used[i] = True
     results = []
 
     def assign(i0: int, t0: int, trail: list[int]) -> bool:
@@ -294,11 +310,12 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
                 if cur != t:
                     return False
                 continue
-            if used[t]:
+            if used[t] or len(home[i]) != len(home[t]) or rank[i] != rank[t]:
                 return False
             img[i] = t
             used[t] = True
             trail.append(i)
+            queue.extend(zip(home[i], home[t]))
             for j, k in neighbors[i]:
                 tj = img[j]
                 if tj is None:
@@ -343,78 +360,68 @@ class WindowMaps(Sequence):
     """The window automorphisms as a read-only ascending sequence of tables.
 
     Built by :func:`find_window_automorphisms`, which verifies every block
-    before it is stored.  A block is a whole coset, kept as its first row,
-    or the explicit list of its rows that passed :func:`verify_window_map`.
-    No table is built before it is read: ``maps[i]`` unranks the
-    permutation of the isolated elements within its block, a slice is a
-    view over the same blocks, ``x in maps`` bisects, and iteration builds
-    the rows coset by coset as byte columns.  ``len``, negative indices,
-    ``index``, ``count`` and ``reversed`` work as on a list, and ``==``
-    compares elementwise with lists and other sequences of this type; the
-    repr is the list's.  There is no ``append``, ``sort`` or hash.
+    before it is stored.  A block is the coset of its first row over every
+    permutation of the largest twin component.  No table is built before
+    it is read: ``maps[i]`` unranks the permutation of the largest
+    component within its block, a slice is a view over the same blocks,
+    ``x in maps`` bisects, and iteration builds the rows block by block as
+    byte columns.  ``len``, negative indices, ``index``, ``count`` and
+    ``reversed`` work as on a list, and ``==`` compares elementwise with
+    lists and other sequences of this type; the repr is the list's.  There
+    is no ``append``, ``sort`` or hash.
     """
 
-    __slots__ = ("_iso", "_moved", "_blocks", "_starts", "_total", "_span", "_radix")
+    __slots__ = ("_largest", "_moved", "_blocks", "_size", "_span", "_radix")
 
-    def __init__(self, iso: tuple[int, ...], moved: dict[int, bytes], blocks,
-                 span: range | None = None):
-        """iso ascending, moved the column of each element of iso over the
-        rows of a coset, blocks a list of (first row, None) for a whole coset
-        or (first row, kept rows), and span the indices into all blocks that
-        this view shows.
+    def __init__(self, largest: tuple[int, ...], moved: dict[int, bytes],
+                 blocks: list[tuple[int, ...]], span: range | None = None):
+        """largest ascending, moved the column of each element of largest
+        over the rows of a block, blocks the first rows, each fixing largest,
+        and span the indices into all blocks that this view shows.
         """
-        self._iso, self._moved, self._blocks = iso, moved, blocks
-        size = factorial(len(iso))
-        starts, total = [], 0
-        for _, rows in blocks:
-            starts.append(total)
-            total += size if rows is None else len(rows)
-        self._starts, self._total = starts, total
-        self._span = range(total) if span is None else span
-        # the place values of the factorial number system over len(iso) digits
-        self._radix = [factorial(q) for q in reversed(range(len(iso)))]
+        self._largest, self._moved, self._blocks = largest, moved, blocks
+        self._size = factorial(len(largest))
+        self._span = range(len(blocks) * self._size) if span is None else span
+        # the place values of the factorial number system over len(largest) digits
+        self._radix = [factorial(q) for q in reversed(range(len(largest)))]
 
     def _row(self, j: int) -> tuple[int, ...]:
-        b = bisect_right(self._starts, j) - 1
-        first, rows = self._blocks[b]
-        r = j - self._starts[b]
-        if rows is not None:
-            return rows[r]
-        # the r-th permutation of iso in lexicographic order, digit by digit
-        t, pool = list(first), list(self._iso)
-        for x, place in zip(self._iso, self._radix):
+        b, r = divmod(j, self._size)
+        # the r-th permutation of largest in lexicographic order, digit by digit
+        t, pool = list(self._blocks[b]), list(self._largest)
+        for x, place in zip(self._largest, self._radix):
             q, r = divmod(r, place)
             t[x] = pool.pop(q)
         return tuple(t)
 
     def _rows(self, b: int):
-        for first, rows in self._blocks[b:]:
-            yield from _coset_rows(first, self._moved) if rows is None else rows
+        for first in self._blocks[b:]:
+            yield from _coset_rows(first, self._moved)
 
     def __len__(self) -> int:
         return len(self._span)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return WindowMaps(self._iso, self._moved, self._blocks, self._span[i])
+            return WindowMaps(self._largest, self._moved, self._blocks, self._span[i])
         return self._row(self._span[i])
 
     def __iter__(self):
         span = self._span
         if span.step < 0 or not span:
             return map(self._row, span)
-        b = bisect_right(self._starts, span.start) - 1
-        skip = self._starts[b]
+        b = span.start // self._size
+        skip = b * self._size
         return islice(self._rows(b), span.start - skip, span.stop - skip, span.step)
 
     def __contains__(self, table) -> bool:
         # the rows of all blocks ascend, so one bisection finds a table
-        every = range(self._total)
+        every = range(len(self._blocks) * self._size)
         try:
             j = bisect_left(every, table, key=self._row)
         except TypeError:
             return False
-        return j < self._total and j in self._span and self._row(j) == table
+        return j < len(every) and j in self._span and self._row(j) == table
 
     def __eq__(self, other):
         if not isinstance(other, (list, WindowMaps)):
@@ -428,7 +435,7 @@ class WindowMaps(Sequence):
 
 
 def _coset_rows(first: tuple[int, ...], moved: dict[int, bytes]):
-    """The rows of first's coset as tuples, in the order of the columns."""
+    """The rows of first's block as tuples, in the order of the columns."""
     size = factorial(len(moved))
     return zip(*[moved.get(i, bytes((v,)) * size) for i, v in enumerate(first)])
 
@@ -436,40 +443,46 @@ def _coset_rows(first: tuple[int, ...], moved: dict[int, bytes]):
 def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMaps:
     """All window automorphisms, as a lazy ascending sequence of image-index tables.
 
-    By the module lemma these are the core automorphisms composed with
-    every permutation of the isolated elements.  Each core map gives one
-    coset of tables, and each is verified here, pruning or not: the coset
-    at once by :func:`_coset_holds`, or, if that fails, each table by
-    :func:`verify_window_map`, keeping the ones that pass.  Only the tables
-    read from the result are built; see :class:`WindowMaps`.  Windows above
-    :data:`LIST_MAX_WINDOW` are refused.
+    By the module lemma these are the members of H composed with every
+    permutation of each twin component.  Each member of H, composed with
+    each arrangement of the components other than the largest one, L, is
+    the first row of a block: its coset over every permutation of L.  The
+    first rows are verified here, and checked to fix L pointwise, pruning
+    or not, and a failing one raises RuntimeError; by closure that
+    verifies the whole block.  Only the
+    tables read from the result are built; see :class:`WindowMaps`.
+    Windows above :data:`LIST_MAX_WINDOW` are refused.
     """
     if u.m > LIST_MAX_WINDOW:
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
                          "too many to list")
-    iso = isolated_elements(u)
-    # row r of the blob is the r-th permutation of iso; the column of iso[q]
-    # holds its q-th entry in every row
-    blob = b"".join(map(bytes, permutations(iso)))
-    moved = {x: blob[q::len(iso)] for q, x in enumerate(iso)}
-    # a coset's rows differ only at iso, in the lexicographic order of
-    # permutations(iso), so the cosets follow one another in order if the
-    # sorted core maps strictly increase before iso[0]
-    cores = sorted(core_automorphisms(u, prune))
-    head = iso[0] if iso else len(u.elements)
-    if any(a[:head] >= b[:head] for a, b in zip(cores, cores[1:])):
-        raise RuntimeError("the core maps do not strictly increase before the first isolated "
-                           "element, so their cosets would interleave")
-    blocks = []
-    for core in cores:
-        # the first row pins iso, and the rest permute its images of iso
-        first = tuple(x if x in moved else v for x, v in enumerate(core))
-        if _coset_holds(u, first, iso):
-            blocks.append((first, None))
-        else:
-            kept = [t for t in _coset_rows(first, moved) if verify_window_map(u, t)]
-            blocks.append((first, kept))
-    return WindowMaps(iso, moved, blocks)
+    comps = twin_components(u)
+    largest = max(comps, key=len)
+    others = [c for c in comps if c is not largest]
+    # row r of the blob is the r-th permutation of largest; the column of
+    # largest[q] holds its q-th entry in every row
+    blob = b"".join(map(bytes, permutations(largest)))
+    moved = {x: blob[q::len(largest)] for q, x in enumerate(largest)}
+    firsts = []
+    for h in core_automorphisms(u, prune):
+        for arrangement in product(*map(permutations, others)):
+            t = list(h)
+            for comp, images in zip(others, arrangement):
+                for x, y in zip(comp, images):
+                    t[x] = h[y]
+            firsts.append(tuple(t))
+    # a block's rows differ only at largest, in the lexicographic order of
+    # permutations(largest), so the blocks follow one another in order if
+    # the sorted first rows strictly increase before largest[0]
+    firsts.sort()
+    head = largest[0]
+    if any(a[:head] >= b[:head] for a, b in zip(firsts, firsts[1:])):
+        raise RuntimeError("the first rows do not strictly increase before the largest twin "
+                           "component, so their blocks would interleave")
+    # closure covers a block only if its first row fixes largest pointwise
+    if not all(verify_window_map(u, t) and all(t[x] == x for x in largest) for t in firsts):
+        raise RuntimeError("a first row is not a window map fixing the largest twin component")
+    return WindowMaps(largest, moved, firsts)
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from powermonoid import (
     verify_window_map,
     window_survivors_oracle,
 )
-from powermonoid.search import WindowUniverse, core_automorphisms, isolated_elements
+from powermonoid.search import WindowUniverse, core_automorphisms, twin_components
 
 # sha256 of repr(find_window_automorphisms(build_window(m))), from the
 # search that walked and verified every leaf
@@ -35,6 +35,11 @@ FROZEN_DIGESTS = {
     2: "22856e5355b92013267c20652609c14504e5f474cdaedc048d61052e7f488e62",
     3: "84de4b99911f24a2f010a1c48c9a386dd296a28a3550ed8448ca278bf7f8a056",
 }
+
+# the order of the window group at m=4, and the sha256 of repr(H), its
+# eight rank-monotone members, from core_automorphisms(build_window(4))
+G4_ORDER = 59738682186294663364838554040321263534080000000
+H4_DIGEST = "23cbbb7ed8f80657933cda31050f43ca109aacbf241138ddb2df14258a5cd087"
 
 
 def _naive_pair_sums(u):
@@ -58,6 +63,41 @@ def _naive_verify(table, t):
 def _swapped(t, a, b):
     t = list(t)
     t[a], t[b] = t[b], t[a]
+    return tuple(t)
+
+
+def _isolated(u):
+    """The non-units that occur in no in-window product except unit + x = x."""
+    unit = u.index[(0,)]
+    touched = {unit}
+    for (i, j), k in u.pair_sums.items():
+        if unit not in (i, j):
+            touched.update((i, j, k))
+    return tuple(i for i in range(len(u.elements)) if i not in touched)
+
+
+def _largest_twins(u):
+    return max(twin_components(u), key=len)
+
+
+def _group_order(u):
+    """The product of |C|! over the twin components C, times |H|."""
+    return (math.prod(math.factorial(len(c)) for c in twin_components(u))
+            * len(core_automorphisms(u)))
+
+
+def _first_rows(u, prune=True):
+    """The first row of each block of find_window_automorphisms."""
+    return list(find_window_automorphisms(u, prune)[::math.factorial(len(_largest_twins(u)))])
+
+
+def _rank_monotone(t, comps):
+    """t composed with the permutation of each component that sorts t's
+    images of it: the one rank-monotone member of t's coset of <T>."""
+    t = list(t)
+    for c in comps:
+        for x, v in zip(c, sorted(t[x] for x in c)):
+            t[x] = v
     return tuple(t)
 
 
@@ -195,10 +235,11 @@ def test_verify_matches_naive_table_on_mutants():
         u = build_window(m)
         n = len(u.elements)
         naive = _naive_pair_sums(u)
-        iso = isolated_elements(u)
-        # survivors without the full list: core maps times permutations of iso
+        iso = _largest_twins(u)
+        # survivors without the full list: the first rows of the blocks, or
+        # identity and negation, times permutations of the largest twin component
         survivors = []
-        for core in (core_automorphisms(u) if m <= 3 else [identity_table(u), negation_table(u)]):
+        for core in (_first_rows(u) if m <= 3 else [identity_table(u), negation_table(u)]):
             for _ in range(3):
                 images = rng.sample(iso, len(iso))
                 survivors.append(tuple(images[iso.index(i)] if i in iso else k
@@ -281,8 +322,11 @@ def test_isolated_elements_touch_only_the_unit():
     for m, count in ((1, 0), (2, 2), (3, 8), (4, 33), (5, 134), (6, 652)):
         u = build_window(m)
         unit = u.index[(0,)]
-        iso = isolated_elements(u)
+        iso = _isolated(u)
         assert len(iso) == count and unit not in iso
+        # and from m = 2 to 4 they are the largest twin component
+        if 2 <= m <= 4:
+            assert iso == _largest_twins(u), f"m={m}"
         # exactly the sets spanning the window that are no in-window sum
         counts = _sum_counts(u)
         assert iso == tuple(i for i, e in enumerate(u.elements)
@@ -299,15 +343,16 @@ def test_isolated_elements_touch_only_the_unit():
 
 
 def test_survivors_are_sym_iso_times_core():
-    for m, core_order in ((1, 2), (2, 2)):
+    # one twin component each, {-1,0} with {0,1} at m=1, and H fixes it
+    for m, h_order in ((1, 1), (2, 2)):
         u = build_window(m)
-        iso = isolated_elements(u)
-        cores = core_automorphisms(u)
-        assert len(cores) == core_order
-        assert cores == core_automorphisms(u, prune=False)
-        assert all(core[i] == i for core in cores for i in iso)
+        (comp,) = twin_components(u)
+        hs = core_automorphisms(u)
+        assert len(hs) == h_order
+        assert hs == core_automorphisms(u, prune=False)
+        assert all(h[i] == i for h in hs for i in comp)
         survivors = find_window_automorphisms(u)
-        assert len(survivors) == math.factorial(len(iso)) * len(cores)
+        assert len(survivors) == math.factorial(len(comp)) * len(hs)
         assert survivors == find_window_automorphisms(u, prune=False)
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
         assert all(map(_bound_transport(u), survivors)), f"m={m}"
@@ -329,10 +374,10 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
         counts = _sum_counts(u)
         assert counts == [len(factorizations(e)) for e in u.elements], f"m={m}"
         assert counts[u.index[(0,)]] == 0
-        assert all(counts[i] == 0 for i in isolated_elements(u)), f"m={m}"
+        assert all(counts[i] == 0 for i in _isolated(u)), f"m={m}"
     # maps found without the sum-count pruning, or without any search at all
     maps = {m: window_survivors_oracle(build_window(m)) for m in (1, 2)}
-    maps[3] = core_automorphisms(build_window(3), prune=False)
+    maps[3] = _first_rows(build_window(3), prune=False)
     assert {m: len(tables) for m, tables in maps.items()} == {1: 2, 2: 4, 3: 16}
     for m, tables in maps.items():
         counts = _sum_counts(build_window(m))
@@ -342,13 +387,12 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
 
 def test_window_three_survivors_frozen():
     u = build_window(3)
-    iso = isolated_elements(u)
     digests = {}
     for prune in (True, False):
-        cores = core_automorphisms(u, prune)
-        assert len(cores) == 16
+        hs = core_automorphisms(u, prune)
+        assert len(hs) == 2
         survivors = find_window_automorphisms(u, prune)
-        assert len(survivors) == math.factorial(len(iso)) * len(cores) == 645120
+        assert len(survivors) == _group_order(u) == 645120
         if prune:
             assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[3]
         # the search without pruning does not assume bound transport
@@ -359,16 +403,21 @@ def test_window_three_survivors_frozen():
     assert digests[True] == digests[False]
 
 
-def test_window_maps_keep_or_negate_every_bound():
-    # d1 swaps two pairs of m=4 sets with equal bounds, and d2 is d1
-    # conjugated by negation; both are window maps
-    u = build_window(4)
-    up = u.index[(0, 1)]
+def _d1_d2(u):
+    """d1 swaps two pairs of m=4 sets with equal bounds, and d2 is d1
+    conjugated by negation."""
     neg = negation_table(u)
     d1 = identity_table(u)
     for a, b in (((-3, 0, 4), (-3, 0, 3, 4)), ((-4, -3, -1, 0, 3, 4), (-4, -3, -1, 0, 2, 3, 4))):
         d1 = _swapped(d1, u.index[a], u.index[b])
-    d2 = tuple(neg[d1[neg[i]]] for i in range(len(neg)))
+    return d1, tuple(neg[d1[neg[i]]] for i in range(len(neg)))
+
+
+def test_window_maps_keep_or_negate_every_bound():
+    # d1 and d2 are window maps
+    u = build_window(4)
+    up = u.index[(0, 1)]
+    d1, d2 = _d1_d2(u)
     holds = _bound_transport(u)
     for d in (d1, d2):
         assert d != identity_table(u)
@@ -383,15 +432,19 @@ def test_window_maps_keep_or_negate_every_bound():
 
 
 def test_core_maps_increase_before_the_first_isolated_element():
-    # so the cosets of find_window_automorphisms follow one another in
-    # order, and the list is returned without a sort
-    for m in (1, 2, 3):
+    # the first rows of the blocks fix the largest twin component and
+    # strictly increase before it, so the blocks of find_window_automorphisms
+    # follow one another in order, and the list is returned without a sort;
+    # at m=3 they are H spread over the 2^3 arrangements of the twin pairs
+    for m, count in ((1, 1), (2, 2), (3, 16)):
         u = build_window(m)
-        iso = isolated_elements(u)
-        head = iso[0] if iso else len(u.elements)
+        largest = _largest_twins(u)
+        head = largest[0]
         for prune in (True, False):
-            cores = core_automorphisms(u, prune)
-            assert all(a[:head] < b[:head] for a, b in zip(cores, cores[1:])), f"m={m}"
+            firsts = _first_rows(u, prune)
+            assert len(firsts) == count
+            assert all(t[x] == x for t in firsts for x in largest), f"m={m}"
+            assert all(a[:head] < b[:head] for a, b in zip(firsts, firsts[1:])), f"m={m}"
 
 
 def test_find_sorts_core_maps_out_of_order(monkeypatch):
@@ -406,21 +459,29 @@ def test_find_sorts_core_maps_out_of_order(monkeypatch):
 def test_every_reported_table_is_verified(monkeypatch):
     import powermonoid.search as search
 
-    u = build_window(2)
-    seen = []
-    rejected = negation_table(u)
+    # find verifies each block's first row, and twin_components each
+    # transposition (L[0] b) of the largest component L: by closure, the
+    # window maps form a group, so that verifies every table of the block
+    real = search.verify_window_map
+    for m in (1, 2, 3):
+        u = build_window(m)
+        largest = _largest_twins(u)
+        seen = set()
 
-    # find checks each core map's coset through _coset_holds, and each table
-    # of a failing coset through verify_window_map, which calls it with no iso
-    def recording(universe, table, iso=()):
-        tables = list(_coset(table, iso))
-        seen.extend(tables)
-        return rejected not in tables
+        def recording(universe, table):
+            seen.add(tuple(table))
+            return real(universe, table)
 
-    monkeypatch.setattr(search, "_coset_holds", recording)
-    got = search.find_window_automorphisms(u)
-    assert len(got) == 3 and rejected not in got
-    assert set(got) <= set(seen)
+        monkeypatch.setattr(search, "verify_window_map", recording)
+        got = search.find_window_automorphisms(u)
+        monkeypatch.setattr(search, "verify_window_map", real)
+        assert set(got[::math.factorial(len(largest))]) <= seen, f"m={m}"
+        ident = identity_table(u)
+        assert {_swapped(ident, largest[0], b) for b in largest[1:]} <= seen, f"m={m}"
+        # and the blocks hold exactly those cosets, listed where it is cheap
+        if m <= 2:
+            assert list(got) == sorted(t for first in got[::math.factorial(len(largest))]
+                                       for t in _coset(first, largest))
 
 
 def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
@@ -432,13 +493,28 @@ def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
         search.find_window_automorphisms(build_window(2))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_find_refuses_a_first_row_that_moves_the_largest_component(monkeypatch, m):
+    import powermonoid.search as search
+
+    # a twin transposition inside the largest component is a window map,
+    # but a block over it would not be its coset: find raises
+    u = build_window(m)
+    largest = _largest_twins(u)
+    moved = _swapped(identity_table(u), largest[0], largest[1])
+    assert verify_window_map(u, moved)
+    monkeypatch.setattr(search, "core_automorphisms", lambda universe, prune=True: [moved])
+    with pytest.raises(RuntimeError, match="fixing the largest twin component"):
+        search.find_window_automorphisms(u)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_window_maps_index_slice_and_compare_as_their_list(m):
     u = build_window(m)
     maps = find_window_automorphisms(u)
     listed = list(maps)
     n = len(listed)
-    assert len(maps) == n == math.factorial(len(isolated_elements(u))) * len(core_automorphisms(u))
+    assert len(maps) == n == _group_order(u)
     rng = random.Random(m)
     for i in [0, 1, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(300)]:
         assert maps[i] == listed[i], i
@@ -497,48 +573,27 @@ def test_window_maps_read_backwards_as_their_reversed_list(m):
     assert maps[::-3][::-1] == listed[::-3][::-1] and maps[::-1][5:50:-1] == []
 
 
-def test_failing_coset_becomes_an_explicit_block(monkeypatch):
+def test_failing_first_row_raises(monkeypatch):
     import powermonoid.search as search
 
     u = build_window(3)
-    iso = isolated_elements(u)
-    full = search.find_window_automorphisms(u)
-    bad = core_automorphisms(u)[5]
-    real = search._coset_holds
+    comps = twin_components(u)
+    firsts = _first_rows(u)
+    # a first row that moves more than two elements, so the twin search
+    # never verifies it, fails: find raises and returns nothing
+    bad = next(t for t in firsts[5:] if sum(a != b for a, b in enumerate(t)) > 2)
+    real = search.verify_window_map
     verified = []
 
-    # the coset of bad fails as a whole; verified one at a time, the tables
-    # that put an even-placed isolated element on the last one pass
-    def holds(universe, table, iso=()):
-        return table != bad and real(universe, table, iso)
+    def rejecting(universe, table):
+        verified.append(tuple(table))
+        return tuple(table) != bad and real(universe, table)
 
-    def verify(universe, t):
-        verified.append(t)
-        return t[iso[-1]] in iso[::2]
-
-    monkeypatch.setattr(search, "_coset_holds", holds)
-    monkeypatch.setattr(search, "verify_window_map", verify)
-    maps = search.find_window_automorphisms(u)
-    assert verified == list(_coset(bad, iso))
-    kept = [t for t in verified if t[iso[-1]] in iso[::2]]
-    size = math.factorial(len(iso))
-    assert len(maps) == 15 * size + len(kept) and 0 < len(kept) < size
-    assert maps[:5 * size] == full[:5 * size] and maps[-10 * size:] == full[-10 * size:]
-    # the blocks around the explicit one, as a list
-    start = 4 * size
-    expected = list(full[start:5 * size]) + kept + list(full[6 * size:7 * size])
-    assert maps[start:start + len(expected)] == expected
-    ends = (size, size + len(kept))
-    rng = random.Random(3)
-    for i in [e + d for e in ends for d in (-2, -1, 0, 1)] + rng.sample(range(len(expected)), 100):
-        assert maps[start + i] == expected[i] and maps[start + i - len(maps)] == expected[i], i
-        assert expected[i] in maps and bisect_left(maps, expected[i]) == start + i
-    for s in (slice(ends[0] - 3, ends[1] + 3), slice(ends[0] - 50, ends[1] + 50, 7),
-              slice(ends[1] + 2, ends[0] - 2, -3)):
-        view = maps[start + s.start:start + s.stop:s.step]
-        assert view == expected[s] and list(reversed(view)) == expected[s][::-1], s
-    rejected = [t for t in verified if t[iso[-1]] not in iso[::2]]
-    assert not any(t in maps for t in rng.sample(rejected, 100))
+    monkeypatch.setattr(search, "verify_window_map", rejecting)
+    assert search.twin_components(u) == comps
+    with pytest.raises(RuntimeError, match="not a window map"):
+        search.find_window_automorphisms(u)
+    assert bad in verified
 
 
 def test_window_three_search_allocates_little():
@@ -585,6 +640,15 @@ def _replaced(t, i, v):
     return t[:i] + (v,) + t[i + 1:]
 
 
+def _closure_holds(u, t, comp):
+    """Whether every table of t's coset over comp passes, by closure: the
+    maps of a partial table form a group, so the coset passes iff t and
+    each transposition (comp[0] b) do."""
+    ident = identity_table(u)
+    return verify_window_map(u, t) and all(verify_window_map(u, _swapped(ident, comp[0], b))
+                                           for b in comp[1:])
+
+
 @pytest.mark.parametrize("bad_at", ["first", "last"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_coset_check_with_a_bad_core(m, bad_at, monkeypatch):
@@ -593,12 +657,12 @@ def test_coset_check_with_a_bad_core(m, bad_at, monkeypatch):
     u = build_window(m)
     naive = _naive_pair_sums(u)
     rng = random.Random(m)
-    iso = isolated_elements(u)
+    iso = _largest_twins(u)
     unit = u.index[(0,)]
     heads = {a for a, _ in u.pair_sums}
-    cores = core_automorphisms(u)
+    cores = _first_rows(u)
     for core in cores:
-        assert search._coset_holds(u, core, iso)
+        assert _closure_holds(u, core, iso)
         images = [core[x] for x in iso]
         assert all(_naive_verify(naive, _placed(core, iso, rng.sample(images, len(iso))))
                    for _ in range(20))
@@ -614,31 +678,21 @@ def test_coset_check_with_a_bad_core(m, bad_at, monkeypatch):
         "leaves the window": (_replaced(base, iso[0], len(base)), "not a bijection"),
     }
     for name, (bad, expected) in cases.items():
-        # with no iso the coset check is the single-table check
         assert _naive_verdict(naive, bad) == _verdict(u, bad) == expected, name
         if expected == "not a bijection":
             with pytest.raises(ValueError, match="bijection"):
-                search._coset_holds(u, bad, iso)
+                _closure_holds(u, bad, iso)
         else:
-            assert not search._coset_holds(u, bad, iso), name
+            assert not _closure_holds(u, bad, iso), name
 
-    # a core map with a head moved onto a core partner, put before or after
-    # a good one: find verifies its coset table by table and keeps none, and
-    # takes the good coset whole
+    # a first row with a head moved onto a core partner, put before or
+    # after a good one: find raises and returns nothing
     bad = _swapped(base, x, max(heads))
     assert not _naive_verify(naive, bad)
-    real_verify = search.verify_window_map
-    calls = []
-
-    def counting(universe, t):
-        calls.append(t)
-        return real_verify(universe, t)
-
     listed = [bad, base] if bad_at == "first" else [base, bad]
     monkeypatch.setattr(search, "core_automorphisms", lambda universe, prune=True: listed)
-    monkeypatch.setattr(search, "verify_window_map", counting)
-    assert search.find_window_automorphisms(u) == list(_coset(base, iso))
-    assert calls == list(_coset(bad, iso))
+    with pytest.raises(RuntimeError, match="not a window map"):
+        search.find_window_automorphisms(u)
 
 
 def _stand_in_universe(n, pair_sums):
@@ -677,8 +731,7 @@ def test_verifiers_match_naive_on_random_partial_tables():
 
 
 def test_coset_check_matches_naive_on_random_partial_tables():
-    import powermonoid.search as search
-
+    # the closure rule against naive enumeration of each coset
     rng = random.Random(20261019)
     n = 6
     perms = list(itertools.permutations(range(n)))
@@ -691,16 +744,54 @@ def test_coset_check_matches_naive_on_random_partial_tables():
         for iso in isos:
             for core in cores:
                 holds = all(_naive_verify(table, t) for t in _coset(core, iso))
-                assert search._coset_holds(u, core, iso) == holds, (table, iso, core)
+                assert _closure_holds(u, core, iso) == holds, (table, iso, core)
                 outcomes.add((len(iso), holds, _naive_verify(table, core)))
                 with pytest.raises(ValueError, match="bijection"):
-                    search._coset_holds(u, _replaced(core, 0, core[-1]), iso)
+                    _closure_holds(u, _replaced(core, 0, core[-1]), iso)
     # cosets of one table hold or fail with it; from two iso elements on,
-    # cosets hold, and cosets fail with their first row passing: only the
-    # other assignments of iso refuse those
+    # cosets hold, and cosets fail with their first row passing: only a
+    # failing transposition refuses those
     assert {(0, True, True), (0, False, False), (1, True, True), (1, False, False)} <= outcomes
     assert not {(0, False, True), (1, False, True)} & outcomes
     assert all({(size, True, True), (size, False, True)} <= outcomes for size in (2, 3))
+
+
+def test_twin_quotient_orders():
+    # |H| for m = 1..4; |G| = the product of |C|! times |H| is the listed count
+    for m, size in ((1, 1), (2, 2), (3, 2), (4, 8)):
+        u = build_window(m)
+        hs = core_automorphisms(u)
+        assert len(hs) == size, f"m={m}"
+        if m <= 3:
+            assert hs == core_automorphisms(u, prune=False), f"m={m}"
+            assert _group_order(u) == len(find_window_automorphisms(u)), f"m={m}"
+
+
+def test_twin_components_match_the_acceptance_derivation():
+    # criterion 8 derives the components from every pair of the partial
+    # table, with its own swap check and a union-find
+    from test_acceptance import _twin_components
+
+    for m in (1, 2, 3, 4):
+        u = build_window(m)
+        assert twin_components(u) == _twin_components(u), f"m={m}"
+
+
+def test_window_four_group_frozen():
+    u = build_window(4)
+    hs = core_automorphisms(u)
+    assert _group_order(u) == G4_ORDER
+    assert hashlib.sha256(repr(hs).encode()).hexdigest() == H4_DIGEST
+    comps = twin_components(u)
+    for h in hs:
+        assert verify_window_map(u, h) and _rank_monotone(h, comps) == h
+    # d1 and d2 are no products of twin swaps and negation: <T, negation> is
+    # <T> and its coset by negation, whose rank-monotone members are the
+    # identity and negation's
+    inside = {identity_table(u), _rank_monotone(negation_table(u), comps)}
+    assert inside <= set(hs)
+    for d in _d1_d2(u):
+        assert _rank_monotone(d, comps) in hs and _rank_monotone(d, comps) not in inside
 
 
 def test_prune_matches_no_prune_and_oracle():
@@ -717,7 +808,7 @@ def test_oracle_shares_nothing_with_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the search")
 
-    for name in ("core_automorphisms", "isolated_elements", "verify_window_map", "_coset_holds"):
+    for name in ("core_automorphisms", "twin_components", "verify_window_map"):
         monkeypatch.setattr(search, name, refuse)
     for m in (1, 2):
         u = build_window(m)
@@ -730,7 +821,7 @@ def test_oracle_shares_nothing_with_the_search(monkeypatch):
 
 
 def test_find_refuses_windows_above_three():
-    # 33 isolated elements at m=4: at least 33! tables
+    # a twin component of 33 elements at m=4: at least 33! tables
     with pytest.raises(ValueError, match="33!"):
         find_window_automorphisms(build_window(4))
 

@@ -59,21 +59,29 @@ negates them to (-max X, -min X).  Let u = {0,1}, d = {-1,0}, and let j.u
   min phi(X) = -max X.  The same with d gives the minimum.
 
 Finding T.  A transposition in G other than ({-1,0} {0,1}) fixes {0,1},
-so it keeps the bounds, the sum count, and the number of in-window triples
-(i, j) -> k that touch an element, since G maps those triples onto
-themselves.  Twins share all three, so only pairs of equal invariants, and
-the one pair ({-1,0} {0,1}), are verified.  In a class of equal
-invariants, the first element's twins form its component with it, by
-transitivity, and the rest of the class splits the same way.
+so it keeps the bounds and the sum count.  It keeps the number of
+in-window triples (i, j) -> k that touch an element too, since G maps
+those triples onto themselves, but that number adds nothing.  The triples
+with x as a factor are one per in-window partner of x, which the bounds of
+x decide.  The triples with sum x and no factor x are the pairs of two
+non-units with sum x, since unit + Y = Y, and x + Y = x forces Y to be
+the unit, since a non-unit Y moves the max or the min of x.  So x
+touches its partner count plus its sum count.  Twins share bounds and sum
+count, so only pairs equal in both, and the one pair ({-1,0} {0,1}), are
+verified.  In a class of equal bounds and sum count, the first element's
+twins form its component with it, by transitivity, and the rest of the
+class splits the same way.
 
-Search.  The search finds H.  It backtracks over images, {0,1} first and
+Search.  window_group finds the components and H from one pass over the
+partial table.  The search for H backtracks over images, {0,1} first and
 then in ascending size order, with unit propagation over the partial
 table.  An element goes to an element of its rank in a component of its
 size, or outside the components if it lies outside, and its whole
 component is assigned with it, as the lemma allows.  With pruning on,
 {0,1} goes to {-1,0} or {0,1}, and every later element to an unused set of
-its bounds class, or of the negated class when {0,1} went to {-1,0}, with
-an equal sum count.  With pruning off, every unused set is a candidate.
+its class of bounds and sum count, the class that gave its twin
+candidates, with the bounds negated when {0,1} went to {-1,0}.  With
+pruning off, every unused set is a candidate.
 
 Listing.  Let L be the largest component, the only one of its size at
 m <= 3, so every member of H fixes it pointwise.  Each member of H,
@@ -105,7 +113,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import islice, permutations, product, repeat
-from math import factorial
+from math import factorial, prod
 from operator import eq, index, lshift, or_
 
 from .finset import _from_mask
@@ -132,7 +140,7 @@ class WindowUniverse:
     ``pair_sums`` holding both orders of each pair on the universe.
     """
 
-    __slots__ = ("m", "elements", "index", "by_bounds", "pair_sums", "_ordered")
+    __slots__ = ("m", "elements", "index", "pair_sums", "_ordered")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
@@ -147,12 +155,10 @@ class WindowUniverse:
         self.elements = tuple(elements)
         self.index = {e.elems: i for i, e in enumerate(elements)}
         # the bounds alone decide whether a sum stays inside, so each bounds
-        # class has one ascending list of in-window partners; the search
-        # also reads the classes, which window maps keep or negate
+        # class has one ascending list of in-window partners
         by_bounds: dict[tuple[int, int], list[int]] = {}
         for i, e in enumerate(elements):
             by_bounds.setdefault((e.min, e.max), []).append(i)
-        self.by_bounds = by_bounds
         partners = {
             (lo, hi): sorted(j for (lo2, hi2), js in by_bounds.items()
                              if lo + lo2 >= -m and hi + hi2 <= m for j in js)
@@ -224,34 +230,53 @@ def as_table_spec(u: WindowUniverse, table: tuple[int, ...]):
     return Table((u.elements[i], u.elements[k]) for i, k in enumerate(table))
 
 
-def twin_components(u: WindowUniverse) -> list[tuple[int, ...]]:
-    """The components of T, the transpositions that are window maps, sorted.
+def window_group(u: WindowUniverse, prune: bool = True
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
+    """The window group G as (components, members, order).
 
-    Each component is an ascending index tuple of at least two elements.
-    Only pairs of equal bounds, sum count and number of touching in-window
-    triples are checked with :func:`verify_window_map`, plus ({-1,0}
-    {0,1}): in each class of those invariants, the first element's twins
-    form its component with it, and the rest of the class splits the same
-    way.  See the module docstring.
+    components are the components of T, the transpositions that are window
+    maps, each an ascending index tuple of at least two elements, sorted;
+    members is H, the rank-monotone window automorphisms, sorted; order is
+    |G|, the product of |C|! over the components C times |H|.
+
+    One pass over the partial table gives each element's propagation
+    neighbours and its sum count.  Only pairs of equal bounds and sum count
+    are checked as twins with :func:`verify_window_map`, plus ({-1,0}
+    {0,1}): in each such class, the first element's twins form its
+    component with it, and the rest of the class splits the same way.
+
+    The search for H assigns images to {0,1} first, then smallest set
+    first; assigning an image propagates every in-window product with
+    already-assigned partners, and an image sum falling outside the window
+    is an immediate conflict.  An element goes to an element of its rank in
+    a component of its size, or outside the components if it lies outside,
+    and its whole component is assigned with it.  With prune on, {0,1} goes
+    to {-1,0} or {0,1}, and every later element to a set of its class of
+    bounds and sum count, the bounds negated when {0,1} went to {-1,0}.
+    These are the rules proven in the module docstring.  The members are
+    not verified here, only in :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
-    unit = u.index[(0,)]
-    nsums, ntriples = [0] * n, [0] * n
-    for (i, j), k in u.pair_sums.items():
+    unit, up, down = u.index[(0,)], u.index[(0, 1)], u.index[(-1, 0)]
+    pair_sums = u.pair_sums
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    nsums = [0] * n
+    for (i, j), k in pair_sums.items():
+        neighbors[i].append((j, k))
+        if i != j:
+            neighbors[j].append((i, k))
         if unit not in (i, j):
             nsums[k] += 1
-        for v in {i, j, k}:
-            ntriples[v] += 1
-    classes: dict[tuple[int, int, int, int], list[int]] = {}
+    classes: dict[tuple[int, int, int], list[int]] = {}
     for i, e in enumerate(u.elements):
-        classes.setdefault((e.min, e.max, nsums[i], ntriples[i]), []).append(i)
+        classes.setdefault((e.min, e.max, nsums[i]), []).append(i)
 
     def swaps(a: int, b: int) -> bool:
         t = list(range(n))
         t[a], t[b] = b, a
         return verify_window_map(u, t)
 
-    pair = tuple(sorted((u.index[(-1, 0)], u.index[(0, 1)])))
+    pair = tuple(sorted((down, up)))
     comps = [pair] if swaps(*pair) else []
     for rest in classes.values():
         while len(rest) > 1:
@@ -260,46 +285,18 @@ def twin_components(u: WindowUniverse) -> list[tuple[int, ...]]:
             if len(comp) > 1:
                 comps.append(tuple(comp))
             rest = [b for b in rest if b not in comp]
-    return sorted(comps)
-
-
-def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int, ...]]:
-    """H, the rank-monotone window automorphisms, sorted.
-
-    Backtracking assigns images to {0,1} first, then smallest set first;
-    assigning an image propagates every in-window product with
-    already-assigned partners, and an image sum falling outside the window
-    is an immediate conflict.  An element goes to an element of its rank in
-    a component of its size, or outside the components if it lies outside,
-    and its whole component is assigned with it.  With prune on, {0,1} goes
-    to {-1,0} or {0,1}, and every later element to a set of its bounds
-    class, negated when {0,1} went to {-1,0}, with its sum count.  These
-    are the rules proven in the module docstring.  The tables are not
-    verified here, only in :func:`find_window_automorphisms`.
-    """
-    n = len(u.elements)
-    up, down = u.index[(0, 1)], u.index[(-1, 0)]
-    order = sorted(range(n), key=lambda i: (i != up, len(u.elements[i]), i))
-    pair_sums = u.pair_sums
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    unit = u.index[(0,)]
-    nsums = [0] * n
-    for (i, j), k in pair_sums.items():
-        neighbors[i].append((j, k))
-        if i != j:
-            neighbors[j].append((i, k))
-        if unit not in (i, j):
-            nsums[k] += 1
+    comps.sort()
     # each element's component, empty outside them, and its rank there
     home: list[tuple[int, ...]] = [()] * n
     rank = [0] * n
-    for comp in twin_components(u):
+    for comp in comps:
         for r, x in enumerate(comp):
             home[x], rank[x] = comp, r
 
+    seq = sorted(range(n), key=lambda i: (i != up, len(u.elements[i]), i))
     img: list[int | None] = [None] * n
     used = [False] * n
-    results = []
+    members = []
 
     def assign(i0: int, t0: int, trail: list[int]) -> bool:
         queue = [(i0, t0)]
@@ -333,16 +330,16 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
         if i == up:
             return [down, up]
         e = u.elements[i]
-        bounds = (e.min, e.max) if img[up] == up else (-e.max, -e.min)
-        return [t for t in u.by_bounds[bounds] if not used[t] and nsums[t] == nsums[i]]
+        key = (e.min, e.max, nsums[i]) if img[up] == up else (-e.max, -e.min, nsums[i])
+        return [t for t in classes[key] if not used[t]]
 
     def dfs(pos: int) -> None:
-        while pos < n and img[order[pos]] is not None:
+        while pos < n and img[seq[pos]] is not None:
             pos += 1
         if pos == n:
-            results.append(tuple(img))
+            members.append(tuple(img))
             return
-        i = order[pos]
+        i = seq[pos]
         for t in candidates(i):
             trail: list[int] = []
             if assign(i, t, trail):
@@ -352,8 +349,8 @@ def core_automorphisms(u: WindowUniverse, prune: bool = True) -> list[tuple[int,
                 img[j] = None
 
     dfs(0)
-    results.sort()
-    return results
+    members.sort()
+    return comps, members, prod(factorial(len(c)) for c in comps) * len(members)
 
 
 class WindowMaps(Sequence):
@@ -456,7 +453,7 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     if u.m > LIST_MAX_WINDOW:
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
                          "too many to list")
-    comps = twin_components(u)
+    comps, members, _ = window_group(u, prune)
     largest = max(comps, key=len)
     others = [c for c in comps if c is not largest]
     # row r of the blob is the r-th permutation of largest; the column of
@@ -464,7 +461,7 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     blob = b"".join(map(bytes, permutations(largest)))
     moved = {x: blob[q::len(largest)] for q, x in enumerate(largest)}
     firsts = []
-    for h in core_automorphisms(u, prune):
+    for h in members:
         for arrangement in product(*map(permutations, others)):
             t = list(h)
             for comp, images in zip(others, arrangement):

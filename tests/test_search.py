@@ -1,5 +1,6 @@
 """Bounded window search for automorphisms of the partial Cayley table."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -26,18 +27,21 @@ from powermonoid import (
     verify_window_map,
     window_survivors_oracle,
 )
-from powermonoid.search import WindowUniverse, core_automorphisms, twin_components
+from powermonoid.search import WindowUniverse, window_group
 
 # sha256 of repr(find_window_automorphisms(build_window(m))), from the
 # search that walked and verified every leaf
 FROZEN_DIGESTS = {
     1: "ac0e5853115b3238c32a841988c0b7a872519ab10791c1f3698078faa1e7d083",
     2: "22856e5355b92013267c20652609c14504e5f474cdaedc048d61052e7f488e62",
-    3: "84de4b99911f24a2f010a1c48c9a386dd296a28a3550ed8448ca278bf7f8a056",
 }
 
+# sha256 of the m=3 tables joined as bytes, from the list whose repr digest
+# was 84de4b99911f24a2f010a1c48c9a386dd296a28a3550ed8448ca278bf7f8a056
+BYTES_DIGEST_3 = "ec3cb3ff1c808af334eaabe66bd34422d37f24729e73502331ba85052b6ff08d"
+
 # the order of the window group at m=4, and the sha256 of repr(H), its
-# eight rank-monotone members, from core_automorphisms(build_window(4))
+# eight rank-monotone members, from window_group(build_window(4))
 G4_ORDER = 59738682186294663364838554040321263534080000000
 H4_DIGEST = "23cbbb7ed8f80657933cda31050f43ca109aacbf241138ddb2df14258a5cd087"
 
@@ -77,13 +81,27 @@ def _isolated(u):
 
 
 def _largest_twins(u):
-    return max(twin_components(u), key=len)
+    return max(window_group(u)[0], key=len)
 
 
 def _group_order(u):
     """The product of |C|! over the twin components C, times |H|."""
-    return (math.prod(math.factorial(len(c)) for c in twin_components(u))
-            * len(core_automorphisms(u)))
+    comps, hs, _ = window_group(u)
+    return math.prod(math.factorial(len(c)) for c in comps) * len(hs)
+
+
+def _patch_members(monkeypatch, members):
+    """Make find_window_automorphisms see members(H) in place of H, with
+    the real components and order."""
+    import powermonoid.search as search
+
+    real = search.window_group
+
+    def patched(u, prune=True):
+        comps, hs, order = real(u, prune)
+        return comps, members(hs), order
+
+    monkeypatch.setattr(search, "window_group", patched)
 
 
 def _first_rows(u, prune=True):
@@ -346,10 +364,10 @@ def test_survivors_are_sym_iso_times_core():
     # one twin component each, {-1,0} with {0,1} at m=1, and H fixes it
     for m, h_order in ((1, 1), (2, 2)):
         u = build_window(m)
-        (comp,) = twin_components(u)
-        hs = core_automorphisms(u)
+        group = window_group(u)
+        (comp,), hs, _ = group
         assert len(hs) == h_order
-        assert hs == core_automorphisms(u, prune=False)
+        assert window_group(u, prune=False) == group
         assert all(h[i] == i for h in hs for i in comp)
         survivors = find_window_automorphisms(u)
         assert len(survivors) == math.factorial(len(comp)) * len(hs)
@@ -375,6 +393,15 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
         assert counts == [len(factorizations(e)) for e in u.elements], f"m={m}"
         assert counts[u.index[(0,)]] == 0
         assert all(counts[i] == 0 for i in _isolated(u)), f"m={m}"
+        # so the in-window triples touching x add nothing to its bounds and
+        # sum count: they number its in-window partners plus its sum count
+        touching = [0] * len(u.elements)
+        for (i, j), k in u.pair_sums.items():
+            for v in {i, j, k}:
+                touching[v] += 1
+        partners = [sum(e.min + f.min >= -m and e.max + f.max <= m for f in u.elements)
+                    for e in u.elements]
+        assert touching == list(map(operator.add, partners, counts)), f"m={m}"
     # maps found without the sum-count pruning, or without any search at all
     maps = {m: window_survivors_oracle(build_window(m)) for m in (1, 2)}
     maps[3] = _first_rows(build_window(3), prune=False)
@@ -387,20 +414,16 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
 
 def test_window_three_survivors_frozen():
     u = build_window(3)
-    digests = {}
     for prune in (True, False):
-        hs = core_automorphisms(u, prune)
+        _, hs, order = window_group(u, prune)
         assert len(hs) == 2
         survivors = find_window_automorphisms(u, prune)
-        assert len(survivors) == _group_order(u) == 645120
-        if prune:
-            assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[3]
+        assert len(survivors) == order == _group_order(u) == 645120
         # the search without pruning does not assume bound transport
         assert all(map(_bound_transport(u), survivors)), f"prune={prune}"
-        # a cheaper digest compares the two lists without holding both
-        digests[prune] = hashlib.sha256(b"".join(map(bytes, survivors))).hexdigest()
+        digest = hashlib.sha256(b"".join(map(bytes, survivors))).hexdigest()
+        assert digest == BYTES_DIGEST_3, f"prune={prune}"
         del survivors
-    assert digests[True] == digests[False]
 
 
 def _d1_d2(u):
@@ -450,8 +473,7 @@ def test_core_maps_increase_before_the_first_isolated_element():
 def test_find_sorts_core_maps_out_of_order(monkeypatch):
     import powermonoid.search as search
 
-    real = search.core_automorphisms
-    monkeypatch.setattr(search, "core_automorphisms", lambda u, prune=True: real(u, prune)[::-1])
+    _patch_members(monkeypatch, lambda hs: hs[::-1])
     got = search.find_window_automorphisms(build_window(2))
     assert hashlib.sha256(repr(got).encode()).hexdigest() == FROZEN_DIGESTS[2]
 
@@ -459,36 +481,40 @@ def test_find_sorts_core_maps_out_of_order(monkeypatch):
 def test_every_reported_table_is_verified(monkeypatch):
     import powermonoid.search as search
 
-    # find verifies each block's first row, and twin_components each
+    # find verifies each block's first row, and window_group each
     # transposition (L[0] b) of the largest component L: by closure, the
     # window maps form a group, so that verifies every table of the block
     real = search.verify_window_map
     for m in (1, 2, 3):
         u = build_window(m)
         largest = _largest_twins(u)
-        seen = set()
+        seen = collections.Counter()
 
         def recording(universe, table):
-            seen.add(tuple(table))
+            seen[tuple(table)] += 1
             return real(universe, table)
 
         monkeypatch.setattr(search, "verify_window_map", recording)
         got = search.find_window_automorphisms(u)
         monkeypatch.setattr(search, "verify_window_map", real)
-        assert set(got[::math.factorial(len(largest))]) <= seen, f"m={m}"
+        firsts = set(got[::math.factorial(len(largest))])
+        assert firsts <= seen.keys(), f"m={m}"
         ident = identity_table(u)
-        assert {_swapped(ident, largest[0], b) for b in largest[1:]} <= seen, f"m={m}"
+        assert {_swapped(ident, largest[0], b) for b in largest[1:]} <= seen.keys(), f"m={m}"
+        # one search verifies each table once, except a first row that is a
+        # twin transposition: once as a swap candidate, once as a first row
+        swaps = {t for t in firsts if sum(map(operator.ne, t, ident)) == 2}
+        assert {t for t, c in seen.items() if c > 1} == swaps, f"m={m}"
+        assert max(seen.values()) <= 2, f"m={m}"
         # and the blocks hold exactly those cosets, listed where it is cheap
         if m <= 2:
-            assert list(got) == sorted(t for first in got[::math.factorial(len(largest))]
-                                       for t in _coset(first, largest))
+            assert list(got) == sorted(t for first in firsts for t in _coset(first, largest))
 
 
 def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
     import powermonoid.search as search
 
-    real = search.core_automorphisms
-    monkeypatch.setattr(search, "core_automorphisms", lambda u, prune=True: real(u, prune) * 2)
+    _patch_members(monkeypatch, lambda hs: hs * 2)
     with pytest.raises(RuntimeError, match="interleave"):
         search.find_window_automorphisms(build_window(2))
 
@@ -503,7 +529,7 @@ def test_find_refuses_a_first_row_that_moves_the_largest_component(monkeypatch, 
     largest = _largest_twins(u)
     moved = _swapped(identity_table(u), largest[0], largest[1])
     assert verify_window_map(u, moved)
-    monkeypatch.setattr(search, "core_automorphisms", lambda universe, prune=True: [moved])
+    _patch_members(monkeypatch, lambda hs: [moved])
     with pytest.raises(RuntimeError, match="fixing the largest twin component"):
         search.find_window_automorphisms(u)
 
@@ -577,7 +603,7 @@ def test_failing_first_row_raises(monkeypatch):
     import powermonoid.search as search
 
     u = build_window(3)
-    comps = twin_components(u)
+    comps = window_group(u)[0]
     firsts = _first_rows(u)
     # a first row that moves more than two elements, so the twin search
     # never verifies it, fails: find raises and returns nothing
@@ -590,7 +616,7 @@ def test_failing_first_row_raises(monkeypatch):
         return tuple(table) != bad and real(universe, table)
 
     monkeypatch.setattr(search, "verify_window_map", rejecting)
-    assert search.twin_components(u) == comps
+    assert search.window_group(u)[0] == comps
     with pytest.raises(RuntimeError, match="not a window map"):
         search.find_window_automorphisms(u)
     assert bad in verified
@@ -690,7 +716,7 @@ def test_coset_check_with_a_bad_core(m, bad_at, monkeypatch):
     bad = _swapped(base, x, max(heads))
     assert not _naive_verify(naive, bad)
     listed = [bad, base] if bad_at == "first" else [base, bad]
-    monkeypatch.setattr(search, "core_automorphisms", lambda universe, prune=True: listed)
+    _patch_members(monkeypatch, lambda hs: listed)
     with pytest.raises(RuntimeError, match="not a window map"):
         search.find_window_automorphisms(u)
 
@@ -760,11 +786,11 @@ def test_twin_quotient_orders():
     # |H| for m = 1..4; |G| = the product of |C|! times |H| is the listed count
     for m, size in ((1, 1), (2, 2), (3, 2), (4, 8)):
         u = build_window(m)
-        hs = core_automorphisms(u)
-        assert len(hs) == size, f"m={m}"
+        comps, hs, order = window_group(u)
+        assert len(hs) == size and order == _group_order(u), f"m={m}"
         if m <= 3:
-            assert hs == core_automorphisms(u, prune=False), f"m={m}"
-            assert _group_order(u) == len(find_window_automorphisms(u)), f"m={m}"
+            assert window_group(u, prune=False) == (comps, hs, order), f"m={m}"
+            assert order == len(find_window_automorphisms(u)), f"m={m}"
 
 
 def test_twin_components_match_the_acceptance_derivation():
@@ -774,15 +800,14 @@ def test_twin_components_match_the_acceptance_derivation():
 
     for m in (1, 2, 3, 4):
         u = build_window(m)
-        assert twin_components(u) == _twin_components(u), f"m={m}"
+        assert window_group(u)[0] == _twin_components(u), f"m={m}"
 
 
 def test_window_four_group_frozen():
     u = build_window(4)
-    hs = core_automorphisms(u)
-    assert _group_order(u) == G4_ORDER
+    comps, hs, order = window_group(u)
+    assert order == _group_order(u) == G4_ORDER
     assert hashlib.sha256(repr(hs).encode()).hexdigest() == H4_DIGEST
-    comps = twin_components(u)
     for h in hs:
         assert verify_window_map(u, h) and _rank_monotone(h, comps) == h
     # d1 and d2 are no products of twin swaps and negation: <T, negation> is
@@ -808,7 +833,7 @@ def test_oracle_shares_nothing_with_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the search")
 
-    for name in ("core_automorphisms", "twin_components", "verify_window_map"):
+    for name in ("window_group", "verify_window_map"):
         monkeypatch.setattr(search, name, refuse)
     for m in (1, 2):
         u = build_window(m)

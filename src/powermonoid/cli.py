@@ -102,11 +102,12 @@ def _cmd_result(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 
 def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    from .monoid import as_zero_set, factorizations, is_atom
+    from .monoid import UNIT, as_zero_set, factorizations
 
     x = as_zero_set(parse_set(args.x))
     pairs = [[str(y), str(z)] for y, z in factorizations(x)]
-    payload = {"set": str(x), "atom": is_atom(x), "factorizations": pairs}
+    # a non-unit is an atom iff it has no nontrivial factorization
+    payload = {"set": str(x), "atom": x != UNIT and not pairs, "factorizations": pairs}
     return payload, _key_lines(payload, ("set", "atom")) + [f"{y} + {z}" for y, z in pairs], 0
 
 

@@ -98,8 +98,9 @@ of the sorted first rows follow one another in order when those rows
 strictly increase before L[0]; otherwise the search raises too.  The
 result is a lazy sequence of blocks: table i is the (i mod |L|!)-th
 permutation of L over block i div |L|!, unranked in the factorial number
-system; iteration builds a block's rows as byte columns, a column off L
-constant and one on L a stride slice of the permutations.
+system; iteration zips a block's rows from lazy columns, a column off L
+constant and the column of L[q] the q-th entry of each permutation of L,
+so nothing of size |L|! is built.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -114,7 +115,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import islice, permutations, product, repeat
 from math import factorial, prod
-from operator import eq, index, lshift, or_
+from operator import eq, index, itemgetter, lshift, or_
 
 from .finset import _from_mask
 from .monoid import ZeroSet
@@ -361,22 +362,22 @@ class WindowMaps(Sequence):
     permutation of the largest twin component.  No table is built before
     it is read: ``maps[i]`` unranks the permutation of the largest
     component within its block, a slice is a view over the same blocks,
-    ``x in maps`` bisects, and iteration builds the rows block by block as
-    byte columns.  ``len``, negative indices, ``index``, ``count`` and
+    ``x in maps`` bisects, and iteration zips the rows block by block from
+    lazy columns, one per element, drawing the largest component's from
+    ``permutations``.  ``len``, negative indices, ``index``, ``count`` and
     ``reversed`` work as on a list, and ``==`` compares elementwise with
     lists and other sequences of this type; the repr is the list's.  There
     is no ``append``, ``sort`` or hash.
     """
 
-    __slots__ = ("_largest", "_moved", "_blocks", "_size", "_span", "_radix")
+    __slots__ = ("_largest", "_blocks", "_size", "_span", "_radix")
 
-    def __init__(self, largest: tuple[int, ...], moved: dict[int, bytes],
-                 blocks: list[tuple[int, ...]], span: range | None = None):
-        """largest ascending, moved the column of each element of largest
-        over the rows of a block, blocks the first rows, each fixing largest,
+    def __init__(self, largest: tuple[int, ...], blocks: list[tuple[int, ...]],
+                 span: range | None = None):
+        """largest ascending, blocks the first rows, each fixing largest,
         and span the indices into all blocks that this view shows.
         """
-        self._largest, self._moved, self._blocks = largest, moved, blocks
+        self._largest, self._blocks = largest, blocks
         self._size = factorial(len(largest))
         self._span = range(len(blocks) * self._size) if span is None else span
         # the place values of the factorial number system over len(largest) digits
@@ -392,15 +393,20 @@ class WindowMaps(Sequence):
         return tuple(t)
 
     def _rows(self, b: int):
+        # a column off largest is constant, the column of largest[q] is the
+        # q-th entry of each permutation of largest, and zip stops with them
         for first in self._blocks[b:]:
-            yield from _coset_rows(first, self._moved)
+            columns = list(map(repeat, first))
+            for q, x in enumerate(self._largest):
+                columns[x] = map(itemgetter(q), permutations(self._largest))
+            yield from zip(*columns)
 
     def __len__(self) -> int:
         return len(self._span)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return WindowMaps(self._largest, self._moved, self._blocks, self._span[i])
+            return WindowMaps(self._largest, self._blocks, self._span[i])
         return self._row(self._span[i])
 
     def __iter__(self):
@@ -431,12 +437,6 @@ class WindowMaps(Sequence):
         return repr(list(self))
 
 
-def _coset_rows(first: tuple[int, ...], moved: dict[int, bytes]):
-    """The rows of first's block as tuples, in the order of the columns."""
-    size = factorial(len(moved))
-    return zip(*[moved.get(i, bytes((v,)) * size) for i, v in enumerate(first)])
-
-
 def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMaps:
     """All window automorphisms, as a lazy ascending sequence of image-index tables.
 
@@ -456,10 +456,6 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     comps, members, _ = window_group(u, prune)
     largest = max(comps, key=len)
     others = [c for c in comps if c is not largest]
-    # row r of the blob is the r-th permutation of largest; the column of
-    # largest[q] holds its q-th entry in every row
-    blob = b"".join(map(bytes, permutations(largest)))
-    moved = {x: blob[q::len(largest)] for q, x in enumerate(largest)}
     firsts = []
     for h in members:
         for arrangement in product(*map(permutations, others)):
@@ -479,7 +475,7 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     # closure covers a block only if its first row fixes largest pointwise
     if not all(verify_window_map(u, t) and all(t[x] == x for x in largest) for t in firsts):
         raise RuntimeError("a first row is not a window map fixing the largest twin component")
-    return WindowMaps(largest, moved, firsts)
+    return WindowMaps(largest, firsts)
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:

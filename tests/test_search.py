@@ -6,6 +6,8 @@ import itertools
 import math
 import operator
 import random
+import sys
+import time
 import tracemalloc
 from bisect import bisect_left
 
@@ -633,6 +635,34 @@ def test_window_three_search_allocates_little():
         tracemalloc.stop()
     assert len(maps) == 645120
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_window_maps_read_a_block_too_large_to_build():
+    # a largest component of 20 elements: its 20! permutations could never
+    # be built, yet reading, slicing and bisecting its block builds only
+    # the rows read
+    largest = tuple(range(2, 22))
+    first = tuple(range(24))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        maps = WindowMaps(largest, [first])
+        size = len(maps)
+        expected = [_placed(first, largest, p)
+                    for p in itertools.islice(itertools.permutations(largest), 64)]
+        head, walked = maps[:64], list(itertools.islice(iter(maps), 64))
+        last = maps[-1]
+        found = maps[10**18] in maps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert size == math.factorial(20) < sys.maxsize
+    assert head == expected and walked == expected
+    assert last == _placed(first, largest, largest[::-1])
+    assert found
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def _placed(table, iso, images):

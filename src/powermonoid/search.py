@@ -98,9 +98,8 @@ of the sorted first rows follow one another in order when those rows
 strictly increase before L[0]; otherwise the search raises too.  The
 result is a lazy sequence of blocks: table i is the (i mod |L|!)-th
 permutation of L over block i div |L|!, unranked in the factorial number
-system; iteration zips a block's rows from lazy columns, a column off L
-constant and the column of L[q] the q-th entry of each permutation of L,
-so nothing of size |L|! is built.
+system from its block's first row.  Every table is made that way, read in
+any order, so nothing of size |L|! is built.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -113,9 +112,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import islice, permutations, product, repeat
+from itertools import permutations, product, repeat
 from math import factorial, prod
-from operator import eq, index, itemgetter, lshift, or_
+from operator import eq, index, lshift, or_
 
 from .finset import _from_mask
 from .monoid import ZeroSet
@@ -360,17 +359,17 @@ class WindowMaps(Sequence):
     Built by :func:`find_window_automorphisms`, which verifies every block
     before it is stored.  A block is the coset of its first row over every
     permutation of the largest twin component.  No table is built before
-    it is read: ``maps[i]`` unranks the permutation of the largest
-    component within its block, a slice is a view over the same blocks,
-    ``x in maps`` bisects, and iteration zips the rows block by block from
-    lazy columns, one per element, drawing the largest component's from
-    ``permutations``.  ``len``, negative indices, ``index``, ``count`` and
+    it is read, and every table, read in any order, is unranked from its
+    block's first row: ``maps[i]`` and iteration unrank the permutation of
+    the largest component within the block, so nothing of size |L|! is
+    built.  A slice is a view over the same blocks, and ``x in maps``
+    bisects.  ``len``, negative indices, ``index``, ``count`` and
     ``reversed`` work as on a list, and ``==`` compares elementwise with
     lists and other sequences of this type; the repr is the list's.  There
     is no ``append``, ``sort`` or hash.
     """
 
-    __slots__ = ("_largest", "_blocks", "_size", "_span", "_radix")
+    __slots__ = ("_largest", "_blocks", "_size", "_span", "_places")
 
     def __init__(self, largest: tuple[int, ...], blocks: list[tuple[int, ...]],
                  span: range | None = None):
@@ -380,26 +379,18 @@ class WindowMaps(Sequence):
         self._largest, self._blocks = largest, blocks
         self._size = factorial(len(largest))
         self._span = range(len(blocks) * self._size) if span is None else span
-        # the place values of the factorial number system over len(largest) digits
-        self._radix = [factorial(q) for q in reversed(range(len(largest)))]
+        # each element of largest with its place value in the factorial
+        # number system over len(largest) digits
+        self._places = list(zip(largest, map(factorial, reversed(range(len(largest))))))
 
     def _row(self, j: int) -> tuple[int, ...]:
         b, r = divmod(j, self._size)
         # the r-th permutation of largest in lexicographic order, digit by digit
         t, pool = list(self._blocks[b]), list(self._largest)
-        for x, place in zip(self._largest, self._radix):
+        for x, place in self._places:
             q, r = divmod(r, place)
             t[x] = pool.pop(q)
         return tuple(t)
-
-    def _rows(self, b: int):
-        # a column off largest is constant, the column of largest[q] is the
-        # q-th entry of each permutation of largest, and zip stops with them
-        for first in self._blocks[b:]:
-            columns = list(map(repeat, first))
-            for q, x in enumerate(self._largest):
-                columns[x] = map(itemgetter(q), permutations(self._largest))
-            yield from zip(*columns)
 
     def __len__(self) -> int:
         return len(self._span)
@@ -410,12 +401,7 @@ class WindowMaps(Sequence):
         return self._row(self._span[i])
 
     def __iter__(self):
-        span = self._span
-        if span.step < 0 or not span:
-            return map(self._row, span)
-        b = span.start // self._size
-        skip = b * self._size
-        return islice(self._rows(b), span.start - skip, span.stop - skip, span.step)
+        return map(self._row, self._span)
 
     def __contains__(self, table) -> bool:
         # the rows of all blocks ascend, so one bisection finds a table

@@ -345,6 +345,30 @@ def test_stdout_frozen(capsys):
         assert (out, err) == (stdout, stderr), argv
 
 
+_UNLISTABLE = ("error: --window {} is refused: its survivors include every permutation of at "
+               "least 33 isolated sets, too many to list; search-autos takes windows 1..3\n")
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (("search-autos", "--window", "4"), _UNLISTABLE.format(4)),
+    (("search-autos", "--window", "5"), _UNLISTABLE.format(5)),
+    (("search-autos", "--window", "6"), _UNLISTABLE.format(6)),
+    (("search-autos", "--window", "3", "--oracle"),
+     "error: --oracle is exhaustive over bijections; windows above 2 are not supported\n"),
+], ids=["window-4", "window-5", "window-6", "window-3-oracle"])
+def test_search_refuses_before_it_builds_a_window(argv, stderr, monkeypatch, capsys):
+    # a refusal in well under the time limit could still hide a fast build of
+    # the window, so building one fails the test
+    import powermonoid.search as search
+
+    def building(m):
+        raise AssertionError(f"built window {m} before refusing")
+
+    monkeypatch.setattr(search, "build_window", building)
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr() == ("", stderr)
+
+
 @pytest.mark.parametrize("argv", [("verify", "lemma22"), ("verify", "theorem", *_DIVERGENT)])
 def test_verify_ignores_samples_where_unread(argv, capsys):
     # lemma22 and theorem never read --samples, so no count is refused there

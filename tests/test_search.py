@@ -588,8 +588,8 @@ def _reads_as(rows, expected):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_window_maps_read_backwards_as_their_reversed_list(m):
-    # backwards, each row is unranked on its own rather than read from the
-    # coset columns, so check that path against the list too
+    # every row is unranked on its own, so reading backwards, strided or
+    # reversed must give the list's rows in the list's reversed order too
     maps = find_window_automorphisms(build_window(m))
     listed = list(maps)
     n = len(listed)
@@ -599,6 +599,24 @@ def test_window_maps_read_backwards_as_their_reversed_list(m):
         view = maps[s]
         assert view == listed[s] and _reads_as(reversed(view), reversed(listed[s])), s
     assert maps[::-3][::-1] == listed[::-3][::-1] and maps[::-1][5:50:-1] == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_window_maps_index_and_count_as_their_list(m):
+    u = build_window(m)
+    maps = find_window_automorphisms(u)
+    # Sequence.index reads from the start, so at m=3 only a short view
+    # across the boundary of the first two blocks of 8! tables
+    views = [maps, maps[::-1]] if m <= 2 else [maps[40300:40400], maps[40400:40300:-1]]
+    outside = _swapped(identity_table(u), u.index[(0, 1)], u.index[(-1, 0, 1)])
+    for view in views:
+        listed = list(view)
+        for t in listed:
+            assert view.index(t) == listed.index(t) and view.count(t) == 1, t
+        for absent in (outside, list(listed[0])):
+            with pytest.raises(ValueError):
+                view.index(absent)
+            assert view.count(absent) == 0
 
 
 def test_failing_first_row_raises(monkeypatch):

@@ -8,7 +8,9 @@ stdout.  Output is byte-identical for identical argv and seed: no timings,
 no timestamps, and insertion-ordered keys throughout.  Exit codes: 0 for
 success or an all-pass verification, 1 when a verification reports a
 failure, 2 for usage and parse errors, which every command raises as
-``ValueError`` before any output.
+``ValueError`` before any output.  A reader that closes stdout early
+changes none of these: the rest of the output goes to ``os.devnull``, with
+no traceback.
 """
 
 from __future__ import annotations
@@ -283,10 +285,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output == "json":
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.output == "json":
+            print(json.dumps(payload, separators=(",", ":")))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at
+        # exit, to devnull, as the recipe in the signal module docs does
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

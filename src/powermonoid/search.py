@@ -83,23 +83,22 @@ its class of bounds and sum count, the class that gave its twin
 candidates, with the bounds negated when {0,1} went to {-1,0}.  With
 pruning off, every unused set is a candidate.
 
-Listing.  Let L be the largest component, the only one of its size at
-m <= 3, so every member of H fixes it pointwise.  Each member of H,
-composed with every arrangement of the other components, is the first row
-t of a block: the coset t Sym(L), the tables that agree with t off L and
-put L on itself in any order.  By closure, every table of the block is a
-window map iff t and each (L[0] b) are, and those transpositions are in T
-since L is a component.  So each first row is verified against the full
-partial table and checked to fix L pointwise, pruning or not, and a
-failing one raises; the check holds no matter how large the other
-components are.  The tables of a block
-ascend in the lexicographic order of the permutations of L, so the blocks
-of the sorted first rows follow one another in order when those rows
-strictly increase before L[0]; otherwise the search raises too.  The
-result is a lazy sequence of blocks: table i is the (i mod |L|!)-th
-permutation of L over block i div |L|!, unranked in the factorial number
-system from its block's first row.  Every table is made that way, read in
-any order, so nothing of size |L|! is built.
+Listing.  G is the union of the cosets h<T> over the members h of H, and
+the tables of a coset agree with h off the components: h composed with
+sigma in <T> sends x to h(sigma x).  Walk the moved elements, those of the
+components, in ascending index order.  At the r-th element x of a
+component C, sigma x is one of the |C| - r elements of C not yet used by
+the earlier elements of C, and h ascends on C, so taking them in ascending
+order lists the coset in ascending lexicographic order: table i of the
+coset is the mixed radix number i over every component, unranked digit by
+digit, and nothing of size |C|! is built.  By closure, every table of the
+coset is a window map iff h and each (C[0] b) are, and window_group has
+verified each such transposition as a twin candidate.  So each member of
+H is verified against the full partial table and checked to ascend on
+every component, pruning or not, and a failing one raises.  Every table
+of a coset agrees with h before the smallest moved element, so the cosets
+of the sorted members follow one another in order when those members
+strictly increase before it; otherwise the search raises too.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -112,7 +111,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import permutations, product, repeat
+from itertools import repeat
 from math import factorial, prod
 from operator import eq, index, lshift, or_
 
@@ -123,7 +122,9 @@ MAX_WINDOW = 6
 
 # find_window_automorphisms stops here: m = 4 has a twin component of 33
 # isolated elements and about 6*10^46 tables, more than len() can report,
-# though the search for H finishes m = 4 in under 0.1 s
+# though the search for H finishes m = 4 in under 0.1 s.  Its cosets would
+# interleave too: four of the seven consecutive pairs of members of H(4)
+# agree on indices 0..68, and 69 is the smallest moved element
 LIST_MAX_WINDOW = 3
 
 # window_survivors_oracle backtracks over plain bijections, checking only the
@@ -356,40 +357,49 @@ def window_group(u: WindowUniverse, prune: bool = True
 class WindowMaps(Sequence):
     """The window automorphisms as a read-only ascending sequence of tables.
 
-    Built by :func:`find_window_automorphisms`, which verifies every block
-    before it is stored.  A block is the coset of its first row over every
-    permutation of the largest twin component.  No table is built before
-    it is read, and every table, read in any order, is unranked from its
-    block's first row: ``maps[i]`` and iteration unrank the permutation of
-    the largest component within the block, so nothing of size |L|! is
-    built.  A slice is a view over the same blocks, and ``x in maps``
-    bisects.  ``len``, negative indices, ``index``, ``count`` and
+    Built by :func:`find_window_automorphisms`, which verifies every member
+    of H before it is stored.  The tables are the cosets h<T> of the sorted
+    members h, one after another, and table i of a coset is the mixed radix
+    number i over every twin component: one digit per moved element, in
+    ascending index order, the r-th element x of a component C having
+    |C| - r values, and digit q sending x to h's image of the q-th smallest
+    element of C not yet used.  No table is built before it is read, and
+    every table, read in any order, is unranked that way, so nothing of
+    size |C|! is built.  A slice is a view over the same cosets, and ``x in
+    maps`` bisects.  ``len``, negative indices, ``index``, ``count`` and
     ``reversed`` work as on a list, and ``==`` compares elementwise with
     lists and other sequences of this type; the repr is the list's.  There
     is no ``append``, ``sort`` or hash.
     """
 
-    __slots__ = ("_largest", "_blocks", "_size", "_span", "_places")
+    __slots__ = ("_comps", "_members", "_images", "_digits", "_size", "_span")
 
-    def __init__(self, largest: tuple[int, ...], blocks: list[tuple[int, ...]],
+    def __init__(self, components: list[tuple[int, ...]], members: list[tuple[int, ...]],
                  span: range | None = None):
-        """largest ascending, blocks the first rows, each fixing largest,
-        and span the indices into all blocks that this view shows.
+        """components the twin components, each ascending; members the
+        sorted members of H, each ascending on every component; and span
+        the indices into all cosets that this view shows.
         """
-        self._largest, self._blocks = largest, blocks
-        self._size = factorial(len(largest))
-        self._span = range(len(blocks) * self._size) if span is None else span
-        # each element of largest with its place value in the factorial
-        # number system over len(largest) digits
-        self._places = list(zip(largest, map(factorial, reversed(range(len(largest))))))
+        self._comps, self._members = components, members
+        # each member's ascending images of each component
+        self._images = [[tuple(h[x] for x in c) for c in components] for h in members]
+        # each moved element, ascending, with its component and the place
+        # value of its digit, which multiplies the radices of the later digits
+        moved = sorted((x, k, len(c) - r) for k, c in enumerate(components)
+                       for r, x in enumerate(c))
+        radices = [radix for _, _, radix in moved]
+        self._digits = [(x, k, prod(radices[d + 1:])) for d, (x, k, _) in enumerate(moved)]
+        self._size = prod(radices)
+        self._span = range(len(members) * self._size) if span is None else span
 
     def _row(self, j: int) -> tuple[int, ...]:
         b, r = divmod(j, self._size)
-        # the r-th permutation of largest in lexicographic order, digit by digit
-        t, pool = list(self._blocks[b]), list(self._largest)
-        for x, place in self._places:
+        # the digits of r, most significant first, each taking the q-th
+        # smallest unused image of its component
+        t, pools = list(self._members[b]), list(map(list, self._images[b]))
+        for x, k, place in self._digits:
             q, r = divmod(r, place)
-            t[x] = pool.pop(q)
+            t[x] = pools[k].pop(q)
         return tuple(t)
 
     def __len__(self) -> int:
@@ -397,15 +407,15 @@ class WindowMaps(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return WindowMaps(self._largest, self._blocks, self._span[i])
+            return WindowMaps(self._comps, self._members, self._span[i])
         return self._row(self._span[i])
 
     def __iter__(self):
         return map(self._row, self._span)
 
     def __contains__(self, table) -> bool:
-        # the rows of all blocks ascend, so one bisection finds a table
-        every = range(len(self._blocks) * self._size)
+        # the rows of all cosets ascend, so one bisection finds a table
+        every = range(len(self._members) * self._size)
         try:
             j = bisect_left(every, table, key=self._row)
         except TypeError:
@@ -426,13 +436,13 @@ class WindowMaps(Sequence):
 def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMaps:
     """All window automorphisms, as a lazy ascending sequence of image-index tables.
 
-    By the module lemma these are the members of H composed with every
-    permutation of each twin component.  Each member of H, composed with
-    each arrangement of the components other than the largest one, L, is
-    the first row of a block: its coset over every permutation of L.  The
-    first rows are verified here, and checked to fix L pointwise, pruning
-    or not, and a failing one raises RuntimeError; by closure that
-    verifies the whole block.  Only the
+    By the module lemma these are the cosets h<T> of the members h of H.
+    Each member is verified here and checked to ascend on every twin
+    component, pruning or not, and a failing one raises RuntimeError; by
+    closure, with the transpositions :func:`window_group` verified, that
+    verifies its whole coset.  The sorted members must strictly increase
+    before the smallest moved element, so that their cosets follow one
+    another in order; otherwise this raises RuntimeError too.  Only the
     tables read from the result are built; see :class:`WindowMaps`.
     Windows above :data:`LIST_MAX_WINDOW` are refused.
     """
@@ -440,28 +450,14 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
                          "too many to list")
     comps, members, _ = window_group(u, prune)
-    largest = max(comps, key=len)
-    others = [c for c in comps if c is not largest]
-    firsts = []
-    for h in members:
-        for arrangement in product(*map(permutations, others)):
-            t = list(h)
-            for comp, images in zip(others, arrangement):
-                for x, y in zip(comp, images):
-                    t[x] = h[y]
-            firsts.append(tuple(t))
-    # a block's rows differ only at largest, in the lexicographic order of
-    # permutations(largest), so the blocks follow one another in order if
-    # the sorted first rows strictly increase before largest[0]
-    firsts.sort()
-    head = largest[0]
-    if any(a[:head] >= b[:head] for a, b in zip(firsts, firsts[1:])):
-        raise RuntimeError("the first rows do not strictly increase before the largest twin "
-                           "component, so their blocks would interleave")
-    # closure covers a block only if its first row fixes largest pointwise
-    if not all(verify_window_map(u, t) and all(t[x] == x for x in largest) for t in firsts):
-        raise RuntimeError("a first row is not a window map fixing the largest twin component")
-    return WindowMaps(largest, firsts)
+    steps = [(a, b) for c in comps for a, b in zip(c, c[1:])]
+    if not all(verify_window_map(u, h) and all(h[a] < h[b] for a, b in steps) for h in members):
+        raise RuntimeError("a member of H is not a window map ascending on every twin component")
+    head = comps[0][0]
+    if any(a[:head] >= b[:head] for a, b in zip(members, members[1:])):
+        raise RuntimeError("the members of H do not strictly increase before the smallest moved "
+                           "element, so their cosets would interleave")
+    return WindowMaps(comps, members)
 
 
 def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:

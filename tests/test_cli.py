@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -26,6 +27,21 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize("argv", [("search-autos", "--window", "3"), ("sum", "{0}", "{0,1}")])
+def test_closed_stdout_is_not_an_error(argv):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails; reading a few bytes through head instead would
+    # race the pipe buffer, which holds the whole output
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "powermonoid", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.stderr, proc.returncode) == ("", 0)
 
 
 def run_json(*args, expect_code=0):

@@ -83,6 +83,8 @@ def _isolated(u):
 
 
 def _largest_twins(u):
+    """The largest twin component L: the isolated elements at m = 2..4,
+    whose digits are the last of each coset of find_window_automorphisms."""
     return max(window_group(u)[0], key=len)
 
 
@@ -107,7 +109,9 @@ def _patch_members(monkeypatch, members):
 
 
 def _first_rows(u, prune=True):
-    """The first row of each block of find_window_automorphisms."""
+    """The tables of find_window_automorphisms at multiples of |L|!, L the
+    largest twin component: each member of H composed with each arrangement
+    of the other components, with L fixed."""
     return list(find_window_automorphisms(u, prune)[::math.factorial(len(_largest_twins(u)))])
 
 
@@ -256,7 +260,7 @@ def test_verify_matches_naive_table_on_mutants():
         n = len(u.elements)
         naive = _naive_pair_sums(u)
         iso = _largest_twins(u)
-        # survivors without the full list: the first rows of the blocks, or
+        # survivors without the full list: the tables at multiples of |L|!, or
         # identity and negation, times permutations of the largest twin component
         survivors = []
         for core in (_first_rows(u) if m <= 3 else [identity_table(u), negation_table(u)]):
@@ -457,10 +461,10 @@ def test_window_maps_keep_or_negate_every_bound():
 
 
 def test_core_maps_increase_before_the_first_isolated_element():
-    # the first rows of the blocks fix the largest twin component and
-    # strictly increase before it, so the blocks of find_window_automorphisms
-    # follow one another in order, and the list is returned without a sort;
-    # at m=3 they are H spread over the 2^3 arrangements of the twin pairs
+    # the tables at multiples of |L|! fix the largest twin component L and
+    # strictly increase before it: L's digits are the last of each coset, so
+    # each run of |L|! tables permutes L alone; at m=3 these tables are H
+    # spread over the 2^3 arrangements of the twin pairs
     for m, count in ((1, 1), (2, 2), (3, 16)):
         u = build_window(m)
         largest = _largest_twins(u)
@@ -472,24 +476,27 @@ def test_core_maps_increase_before_the_first_isolated_element():
             assert all(a[:head] < b[:head] for a, b in zip(firsts, firsts[1:])), f"m={m}"
 
 
-def test_find_sorts_core_maps_out_of_order(monkeypatch):
+def test_find_refuses_core_maps_out_of_order(monkeypatch):
     import powermonoid.search as search
 
+    # window_group returns H sorted, and find lists its cosets in that
+    # order without a sort: reversed, they would not ascend
     _patch_members(monkeypatch, lambda hs: hs[::-1])
-    got = search.find_window_automorphisms(build_window(2))
-    assert hashlib.sha256(repr(got).encode()).hexdigest() == FROZEN_DIGESTS[2]
+    with pytest.raises(RuntimeError, match="interleave"):
+        search.find_window_automorphisms(build_window(2))
 
 
 def test_every_reported_table_is_verified(monkeypatch):
     import powermonoid.search as search
 
-    # find verifies each block's first row, and window_group each
-    # transposition (L[0] b) of the largest component L: by closure, the
-    # window maps form a group, so that verifies every table of the block
+    # window_group verifies each twin candidate, and find each member of H,
+    # each table once: by closure, the window maps form a group, so the
+    # transpositions (C[0] b) of every component C and the member verify
+    # every table of its coset
     real = search.verify_window_map
     for m in (1, 2, 3):
         u = build_window(m)
-        largest = _largest_twins(u)
+        comps, hs, _ = window_group(u)
         seen = collections.Counter()
 
         def recording(universe, table):
@@ -497,20 +504,22 @@ def test_every_reported_table_is_verified(monkeypatch):
             return real(universe, table)
 
         monkeypatch.setattr(search, "verify_window_map", recording)
+        search.window_group(u)
+        candidates = set(seen)
+        seen.clear()
         got = search.find_window_automorphisms(u)
         monkeypatch.setattr(search, "verify_window_map", real)
-        firsts = set(got[::math.factorial(len(largest))])
-        assert firsts <= seen.keys(), f"m={m}"
         ident = identity_table(u)
-        assert {_swapped(ident, largest[0], b) for b in largest[1:]} <= seen.keys(), f"m={m}"
-        # one search verifies each table once, except a first row that is a
-        # twin transposition: once as a swap candidate, once as a first row
-        swaps = {t for t in firsts if sum(map(operator.ne, t, ident)) == 2}
-        assert {t for t, c in seen.items() if c > 1} == swaps, f"m={m}"
-        assert max(seen.values()) <= 2, f"m={m}"
-        # and the blocks hold exactly those cosets, listed where it is cheap
+        assert all(sum(map(operator.ne, t, ident)) == 2 for t in candidates), f"m={m}"
+        assert {_swapped(ident, c[0], b) for c in comps for b in c[1:]} <= candidates, f"m={m}"
+        assert not candidates & set(hs), f"m={m}"
+        assert seen == collections.Counter(candidates | set(hs)), f"m={m}"
+        assert len(seen) == {1: 2, 2: 4, 3: 36}[m]
+        # and the result holds exactly those cosets, listed where it is cheap,
+        # over the one component of m <= 2
         if m <= 2:
-            assert list(got) == sorted(t for first in firsts for t in _coset(first, largest))
+            (comp,) = comps
+            assert list(got) == sorted(t for h in hs for t in _coset(h, comp))
 
 
 def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
@@ -526,13 +535,14 @@ def test_find_refuses_a_first_row_that_moves_the_largest_component(monkeypatch, 
     import powermonoid.search as search
 
     # a twin transposition inside the largest component is a window map,
-    # but a block over it would not be its coset: find raises
+    # but no member of H, as it descends on that component: its coset would
+    # not be listed in order, so find raises
     u = build_window(m)
     largest = _largest_twins(u)
     moved = _swapped(identity_table(u), largest[0], largest[1])
     assert verify_window_map(u, moved)
     _patch_members(monkeypatch, lambda hs: [moved])
-    with pytest.raises(RuntimeError, match="fixing the largest twin component"):
+    with pytest.raises(RuntimeError, match="ascending on every twin component"):
         search.find_window_automorphisms(u)
 
 
@@ -580,6 +590,33 @@ def test_window_maps_index_slice_and_compare_as_their_list(m):
         assert repr(maps) == repr(listed) and list(reversed(maps)) == listed[::-1]
 
 
+def test_window_maps_match_brute_force_over_interleaved_components():
+    # three components whose positions interleave, and two rank-monotone
+    # members that differ before index 2, the smallest moved element; the
+    # first exchanges the two components of three elements
+    comps = [(2, 5, 8), (3, 6), (4, 7, 9)]
+    swapped = dict(zip((2, 5, 8, 4, 7, 9), (4, 7, 9, 2, 5, 8)))
+    members = [tuple(swapped.get(x, x) for x in range(10)), (1, 0, *range(2, 10))]
+    maps = WindowMaps(comps, members)
+    # every h composed with every permutation of each component, sorted
+    expected = []
+    for h in members:
+        for images in itertools.product(*map(itertools.permutations, comps)):
+            sigma = dict(zip(itertools.chain(*comps), itertools.chain(*images)))
+            expected.append(tuple(h[sigma.get(x, x)] for x in range(10)))
+    expected.sort()
+    n = len(expected)
+    assert n == 2 * 6 * 2 * 6 == len(maps) and len(set(expected)) == n
+    assert list(maps) == expected
+    assert [maps[i] for i in range(-n, n)] == expected + expected
+    for s in (slice(None, None, -1), slice(100, 3, -7), slice(-2, None, -5), slice(7, 90, 4)):
+        assert list(maps[s]) == expected[s] and maps[s] == expected[s], s
+    assert all(t in maps and maps.index(t) == i for i, t in enumerate(expected))
+    # a table mixing two components is in no coset
+    crossed = _swapped(expected[0], 2, 3)
+    assert crossed not in maps and _swapped(expected[0], 0, 2) not in maps
+
+
 def _reads_as(rows, expected):
     """Whether two iterables yield equal rows, compared one pair at a time
     rather than as two lists of up to 645,120 tables."""
@@ -606,7 +643,7 @@ def test_window_maps_index_and_count_as_their_list(m):
     u = build_window(m)
     maps = find_window_automorphisms(u)
     # Sequence.index reads from the start, so at m=3 only a short view
-    # across the boundary of the first two blocks of 8! tables
+    # across the first carry out of the largest component's 8! tables
     views = [maps, maps[::-1]] if m <= 2 else [maps[40300:40400], maps[40400:40300:-1]]
     outside = _swapped(identity_table(u), u.index[(0, 1)], u.index[(-1, 0, 1)])
     for view in views:
@@ -623,11 +660,14 @@ def test_failing_first_row_raises(monkeypatch):
     import powermonoid.search as search
 
     u = build_window(3)
-    comps = window_group(u)[0]
-    firsts = _first_rows(u)
-    # a first row that moves more than two elements, so the twin search
-    # never verifies it, fails: find raises and returns nothing
-    bad = next(t for t in firsts[5:] if sum(a != b for a, b in enumerate(t)) > 2)
+    comps, hs, _ = window_group(u)
+    # the first row of the second coset, a member of H that moves more than
+    # two elements, so the twin search never verifies it, fails: find
+    # raises and returns nothing
+    bad = hs[1]
+    maps = find_window_automorphisms(u)
+    assert maps[len(maps) // 2] == bad
+    assert sum(a != b for a, b in enumerate(bad)) > 2
     real = search.verify_window_map
     verified = []
 
@@ -656,15 +696,15 @@ def test_window_three_search_allocates_little():
 
 
 def test_window_maps_read_a_block_too_large_to_build():
-    # a largest component of 20 elements: its 20! permutations could never
-    # be built, yet reading, slicing and bisecting its block builds only
+    # a twin component of 20 elements: its 20! permutations could never
+    # be built, yet reading, slicing and bisecting its coset builds only
     # the rows read
     largest = tuple(range(2, 22))
     first = tuple(range(24))
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        maps = WindowMaps(largest, [first])
+        maps = WindowMaps([largest], [first])
         size = len(maps)
         expected = [_placed(first, largest, p)
                     for p in itertools.islice(itertools.permutations(largest), 64)]
@@ -836,6 +876,7 @@ def test_twin_quotient_orders():
         u = build_window(m)
         comps, hs, order = window_group(u)
         assert len(hs) == size and order == _group_order(u), f"m={m}"
+        assert hs == sorted(set(hs)), f"m={m}"
         if m <= 3:
             assert window_group(u, prune=False) == (comps, hs, order), f"m={m}"
             assert order == len(find_window_automorphisms(u)), f"m={m}"

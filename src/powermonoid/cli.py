@@ -51,17 +51,21 @@ def _parse_auto(token: str):
     """The autos map spec a CLI automorphism name stands for."""
     from .autos import Identity, MaxReflection, Negation, Reversal
 
-    name, sep, rest = token.partition(":")
-    match name:
-        case "identity" if not sep:
-            return Identity()
-        case "negation" if not sep:
-            return Negation()
-        case "max-reflection" if not sep:
-            return MaxReflection()
-        case "reversal" if sep:
-            return Reversal(_parse_auto(rest))
-    raise ValueError(f"unknown automorphism name: {token!r}")
+    # reversal composes negation after its argument, and negation is an
+    # involution, so only the parity of the prefixes counts
+    depth = 0
+    while token.startswith("reversal:"):
+        token, depth = token[len("reversal:"):], depth + 1
+    match token:
+        case "identity":
+            spec = Identity()
+        case "negation":
+            spec = Negation()
+        case "max-reflection":
+            spec = MaxReflection()
+        case _:
+            raise ValueError(f"unknown automorphism name: {token!r}")
+    return Reversal(spec) if depth % 2 else spec
 
 
 def _kfold(args: argparse.Namespace) -> str:
@@ -146,6 +150,15 @@ def _verify_theorem(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
     a = as_zero_set(parse_set(args.A))
     b = as_zero_set(parse_set(args.B))
+    # the padded sums lie in [min, max + reach]: case 1 pads by [[0,d]] with
+    # d below the width, and case 2 by a block ending at c, which defaults
+    # to at most twice the width
+    width = max(a.max, b.max) - min(a.min, b.min)
+    reach = width if args.case == 1 else 2 * width if args.c is None else args.c
+    span = width + reach + 1
+    if span > MAX_SHORTHAND:
+        raise ValueError(f"verify theorem case {args.case} pads sets of width {width} into "
+                         f"sums spanning up to {span} integers, above the cap of {MAX_SHORTHAND}")
 
     # the witness builders want the set owning the divergent endpoint first;
     # the CLI tries both orders and annotates when it had to swap

@@ -11,27 +11,31 @@ pair with sum phi Z iff (X, Y) is one with sum Z.  So the inverse of a
 window map is a window map, and so is a composite of two: the window maps
 form a group G.
 
-Twins.  Let T be the transpositions in G.  If (a b) and (b c) are in T,
-so is (a c) = (a b)(b c)(a b), so T splits the elements it moves into
-components, each a set whose every two elements swap cleanly, and <T> is
-the product of the symmetric groups of the components.  Call a map
-rank-monotone if it sends each component onto a component, its r-th
+Twins.  Let T be the transpositions in G that fix u = {0,1}.  If (a b) and
+(b c) are in T, so is (a c) = (a b)(b c)(a b), so T splits the elements it
+moves into components, each a set whose every two elements swap cleanly,
+and <T> is the product of the symmetric groups of the components.  Call a
+map rank-monotone if it sends each component onto a component, its r-th
 smallest element to the r-th smallest.
 
 Lemma.  The rank-monotone members of G form a group H, and every member of
 G is one member of H composed with one member of <T>, so |G| is the product
 of |C|! over the components C times |H|.
 
-- g in G conjugates (a b) in T to (g a  g b), again in T, so g sends each
-  component onto a component of its size and each element outside the
-  components outside them.
+- g in G conjugates (a b) in T to (g a  g b), again in T: (a b) fixes
+  d = {-1,0} too, and g permutes {u, d}, both by bound transport below.
+  So g sends each component onto a component of its size and each element
+  outside the components outside them.
 - So each coset g<T> holds exactly one rank-monotone map: g composed with
   the permutation of each component that sorts g's images of it.
 - Rank-monotone maps compose, and the only one in <T> is the identity.
 
 The largest component is the set of isolated elements at m = 2, 3 and 4,
 the non-units that occur in no in-window product except unit + x = x.  At
-m = 1 it is {-1,0} with {0,1}, whose swap is negation.
+m = 1, T is empty and H = {identity, negation}: the one transposition in G
+is (d u), which is negation.  From m = 2 on, (d u) is no window map, as it
+fixes u + u = [[0,2]], which d + d = [[-2,0]] would have to be, so there T
+holds every transposition in G.
 
 Sum counts.  The sum count of x is the number of in-window pairs of two
 non-units with sum x; both factors of a window element lie in the window,
@@ -58,19 +62,27 @@ negates them to (-max X, -min X).  Let u = {0,1}, d = {-1,0}, and let j.u
   if phi(u) = d, then max X <= m - j iff min phi(X) >= j - m, and
   min phi(X) = -max X.  The same with d gives the minimum.
 
-Finding T.  A transposition in G other than ({-1,0} {0,1}) fixes {0,1},
-so it keeps the bounds and the sum count.  It keeps the number of
-in-window triples (i, j) -> k that touch an element too, since G maps
-those triples onto themselves, but that number adds nothing.  The triples
-with x as a factor are one per in-window partner of x, which the bounds of
-x decide.  The triples with sum x and no factor x are the pairs of two
-non-units with sum x, since unit + Y = Y, and x + Y = x forces Y to be
-the unit, since a non-unit Y moves the max or the min of x.  So x
-touches its partner count plus its sum count.  Twins share bounds and sum
-count, so only pairs equal in both, and the one pair ({-1,0} {0,1}), are
-verified.  In a class of equal bounds and sum count, the first element's
-twins form its component with it, by transitivity, and the rest of the
-class splits the same way.
+Finding T.  A map in T fixes u, so it keeps the bounds and the sum count,
+and twins share both.
+
+- A twin has sum count 0.  Let (a b) be in T and a = X + Y with X and Y
+  non-units.  A non-unit summand moves a bound, so X and Y have other
+  bounds than a, and than its twin b: (a b) fixes X and Y and moves their
+  sum, so it is no window map.
+- A twin's own pairs decide its swap.  Take a of sum count 0, and b of its
+  bounds and sum count.  The in-window triples (i, j) -> k that touch a
+  are unit + a = a and (a, j) -> a + j over a's in-window partners j, as
+  a + j is neither a nor b for a non-unit j.  b has a's partners, which
+  the bounds decide, so b's triples mirror a's, and the triples touching
+  neither are fixed.  Hence (a b) is in T iff for each triple (a, j) -> k,
+  (b, phi j) is an in-window pair with sum phi k: those are as many
+  triples of b as a has, so all of them, and the involution sends them
+  back onto a's.
+
+So only pairs of equal bounds and sum count 0 are candidates, each decided
+from its own pairs.  In such a class, the first element's twins form its
+component with it, by transitivity, and the rest of the class splits the
+same way.
 
 Search.  window_group finds the components and H from one pass over the
 partial table.  The search for H backtracks over images, {0,1} first and
@@ -79,9 +91,8 @@ table.  An element goes to an element of its rank in a component of its
 size, or outside the components if it lies outside, and its whole
 component is assigned with it, as the lemma allows.  With pruning on,
 {0,1} goes to {-1,0} or {0,1}, and every later element to an unused set of
-its class of bounds and sum count, the class that gave its twin
-candidates, with the bounds negated when {0,1} went to {-1,0}.  With
-pruning off, every unused set is a candidate.
+its class of bounds and sum count, with the bounds negated when {0,1} went
+to {-1,0}.  With pruning off, every unused set is a candidate.
 
 Listing.  G is the union of the cosets h<T> over the members h of H, and
 the tables of a coset agree with h off the components: h composed with
@@ -93,12 +104,13 @@ order lists the coset in ascending lexicographic order: table i of the
 coset is the mixed radix number i over every component, unranked digit by
 digit, and nothing of size |C|! is built.  By closure, every table of the
 coset is a window map iff h and each (C[0] b) are, and window_group has
-verified each such transposition as a twin candidate.  So each member of
-H is verified against the full partial table and checked to ascend on
-every component, pruning or not, and a failing one raises.  Every table
-of a coset agrees with h before the smallest moved element, so the cosets
-of the sorted members follow one another in order when those members
-strictly increase before it; otherwise the search raises too.
+decided each such transposition from its own pairs.  So each member of H
+is verified against the full partial table and checked to ascend on every
+component, pruning or not, and a failing one raises.  Every table of a
+coset agrees with h before the smallest moved element, everywhere when
+nothing moves, so the cosets of the sorted members follow one another in
+order when those members strictly increase before it; otherwise the search
+raises too.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -135,13 +147,9 @@ _NOT_A_BIJECTION = "not a bijection table over the window"
 
 
 class WindowUniverse:
-    """All zero-anchored subsets of [[-m,m]] plus their partial Cayley table.
+    """All zero-anchored subsets of [[-m,m]] plus their partial Cayley table."""
 
-    Treated as immutable once built: the window check caches a copy of
-    ``pair_sums`` holding both orders of each pair on the universe.
-    """
-
-    __slots__ = ("m", "elements", "index", "pair_sums", "_ordered")
+    __slots__ = ("m", "elements", "index", "pair_sums")
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_WINDOW:
@@ -179,7 +187,6 @@ class WindowUniverse:
             pair_sums.update(zip(zip(repeat(i), js),
                                  [(s >> m & low) | (s >> 2 * m + 1 << m) for s in sums]))
         self.pair_sums = pair_sums
-        self._ordered = None
 
 
 def build_window(m: int) -> WindowUniverse:
@@ -196,15 +203,10 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
     """Full check of one bijection table against every in-window pair.
 
     True iff (table[i], table[j]) is an in-window pair with sum table[k]
-    for every in-window pair (i, j) with sum k: one lookup per pair in a
-    dict holding both orders of each pair.  Raises ValueError unless table
-    is a permutation of the window's indices.
+    for every in-window pair (i, j) with sum k: one lookup per pair in the
+    partial table, by the sorted pair of images.  Raises ValueError unless
+    table is a permutation of the window's indices.
     """
-    ordered = u._ordered
-    if ordered is None:
-        ordered = u._ordered = {}
-        for (i, j), k in u.pair_sums.items():
-            ordered[(i, j)] = ordered[(j, i)] = k
     t = tuple(table)
     try:
         permutes = sorted(map(index, t)) == list(range(len(u.elements)))
@@ -212,7 +214,9 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
         permutes = False
     if not permutes:
         raise ValueError(_NOT_A_BIJECTION)
-    return all(ordered.get((t[i], t[j])) == t[k] for (i, j), k in u.pair_sums.items())
+    pair_sums = u.pair_sums
+    return all(pair_sums.get((t[i], t[j]) if t[i] <= t[j] else (t[j], t[i])) == t[k]
+               for (i, j), k in pair_sums.items())
 
 
 def identity_table(u: WindowUniverse) -> tuple[int, ...]:
@@ -235,16 +239,18 @@ def window_group(u: WindowUniverse, prune: bool = True
                  ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
     """The window group G as (components, members, order).
 
-    components are the components of T, the transpositions that are window
-    maps, each an ascending index tuple of at least two elements, sorted;
+    components are the components of T, the window transpositions that fix
+    {0,1}, each an ascending index tuple of at least two elements, sorted;
     members is H, the rank-monotone window automorphisms, sorted; order is
     |G|, the product of |C|! over the components C times |H|.
 
     One pass over the partial table gives each element's propagation
     neighbours and its sum count.  Only pairs of equal bounds and sum count
-    are checked as twins with :func:`verify_window_map`, plus ({-1,0}
-    {0,1}): in each such class, the first element's twins form its
-    component with it, and the rest of the class splits the same way.
+    0 are twin candidates, each decided from the first element's own
+    in-window pairs, as the module docstring proves: in each such class,
+    the first element's twins form its component with it, and the rest of
+    the class splits the same way.  Nothing here calls
+    :func:`verify_window_map`.
 
     The search for H assigns images to {0,1} first, then smallest set
     first; assigning an image propagates every in-window product with
@@ -273,14 +279,17 @@ def window_group(u: WindowUniverse, prune: bool = True
         classes.setdefault((e.min, e.max, nsums[i]), []).append(i)
 
     def swaps(a: int, b: int) -> bool:
-        t = list(range(n))
-        t[a], t[b] = b, a
-        return verify_window_map(u, t)
+        # each pair (a, j) -> k must go to the in-window pair (b, phi j) -> phi k
+        phi = {a: b, b: a}
+        for j, k in neighbors[a]:
+            j = phi.get(j, j)
+            if pair_sums.get((b, j) if b <= j else (j, b)) != phi.get(k, k):
+                return False
+        return True
 
-    pair = tuple(sorted((down, up)))
-    comps = [pair] if swaps(*pair) else []
-    for rest in classes.values():
-        while len(rest) > 1:
+    comps = []
+    for (_, _, count), rest in classes.items():
+        while count == 0 and len(rest) > 1:
             first = rest[0]
             comp = [first] + [b for b in rest[1:] if swaps(first, b)]
             if len(comp) > 1:
@@ -439,12 +448,12 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     By the module lemma these are the cosets h<T> of the members h of H.
     Each member is verified here and checked to ascend on every twin
     component, pruning or not, and a failing one raises RuntimeError; by
-    closure, with the transpositions :func:`window_group` verified, that
+    closure, with the transpositions :func:`window_group` decided, that
     verifies its whole coset.  The sorted members must strictly increase
-    before the smallest moved element, so that their cosets follow one
-    another in order; otherwise this raises RuntimeError too.  Only the
-    tables read from the result are built; see :class:`WindowMaps`.
-    Windows above :data:`LIST_MAX_WINDOW` are refused.
+    before the smallest moved element, or everywhere when nothing moves, so
+    that their cosets follow one another in order; otherwise this raises
+    RuntimeError too.  Only the tables read from the result are built; see
+    :class:`WindowMaps`.  Windows above :data:`LIST_MAX_WINDOW` are refused.
     """
     if u.m > LIST_MAX_WINDOW:
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
@@ -453,7 +462,7 @@ def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMa
     steps = [(a, b) for c in comps for a, b in zip(c, c[1:])]
     if not all(verify_window_map(u, h) and all(h[a] < h[b] for a, b in steps) for h in members):
         raise RuntimeError("a member of H is not a window map ascending on every twin component")
-    head = comps[0][0]
+    head = comps[0][0] if comps else len(u.elements)
     if any(a[:head] >= b[:head] for a, b in zip(members, members[1:])):
         raise RuntimeError("the members of H do not strictly increase before the smallest moved "
                            "element, so their cosets would interleave")

@@ -143,6 +143,34 @@ def test_oversized_kfold_is_refused_before_any_sum():
     assert run_cli("kfold", "{0,1000}", "1000").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--case", "1", "--A", "{-1,0,100000000000,100000000002}",
+     "--B", "{-1,0,100000000001,100000000002}"),
+    ("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "3000000"),
+], ids=["case-1", "case-2"])
+def test_oversized_theorem_padding_is_refused_before_any_witness(argv):
+    # before the cap, case 1 at a width of 3 * 10**6 took 6.0 s and at 10**11
+    # ran out of memory, and case 2 with c = 3 * 10**6 took 10.2 s and 1.2 GB
+    start = time.perf_counter()
+    proc = run_cli("verify", "theorem", *argv)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "above the cap of 1000000" in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_nested_reversal_is_read_by_its_parity(capsys):
+    # 1,200 nested prefixes overflowed the recursive parser; negation is an
+    # involution, so only the parity of the prefixes counts
+    def apply(auto):
+        return cli.main(["apply", auto, "{-1,0,2}"]), capsys.readouterr()
+
+    assert apply("reversal:" * 5001 + "identity") == apply("reversal:identity")
+    assert apply("reversal:" * 5000 + "identity") == apply("identity")
+    code, (out, err) = apply("reversal:" * 5001 + "rotation")
+    assert (code, out, err) == (2, "", "error: unknown automorphism name: 'rotation'\n")
+
+
 def test_usage_error_exits_2():
     assert run_cli("sum", "{0}").returncode == 2
     assert run_cli("no-such-command").returncode == 2

@@ -367,16 +367,19 @@ def test_isolated_elements_touch_only_the_unit():
 
 
 def test_survivors_are_sym_iso_times_core():
-    # one twin component each, {-1,0} with {0,1} at m=1, and H fixes it
-    for m, h_order in ((1, 1), (2, 2)):
+    # no twin component at m=1, where H is identity and negation, and one
+    # at m=2, which H fixes
+    for m, h_order in ((1, 2), (2, 2)):
         u = build_window(m)
         group = window_group(u)
-        (comp,), hs, _ = group
-        assert len(hs) == h_order
+        comps, hs, _ = group
+        assert len(comps) == m - 1 and len(hs) == h_order
+        if m == 1:
+            assert hs == [identity_table(u), negation_table(u)]
         assert window_group(u, prune=False) == group
-        assert all(h[i] == i for h in hs for i in comp)
+        assert all(h[i] == i for h in hs for c in comps for i in c)
         survivors = find_window_automorphisms(u)
-        assert len(survivors) == math.factorial(len(comp)) * len(hs)
+        assert len(survivors) == math.prod(math.factorial(len(c)) for c in comps) * len(hs)
         assert survivors == find_window_automorphisms(u, prune=False)
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
         assert all(map(_bound_transport(u), survivors)), f"m={m}"
@@ -465,7 +468,12 @@ def test_core_maps_increase_before_the_first_isolated_element():
     # strictly increase before it: L's digits are the last of each coset, so
     # each run of |L|! tables permutes L alone; at m=3 these tables are H
     # spread over the 2^3 arrangements of the twin pairs
-    for m, count in ((1, 1), (2, 2), (3, 16)):
+    u = build_window(1)
+    for prune in (True, False):
+        # no twin component at m=1: the listing is H, in order
+        hs = window_group(u, prune)[1]
+        assert list(find_window_automorphisms(u, prune)) == hs == sorted(hs) and len(hs) == 2
+    for m, count in ((2, 2), (3, 16)):
         u = build_window(m)
         largest = _largest_twins(u)
         head = largest[0]
@@ -489,10 +497,10 @@ def test_find_refuses_core_maps_out_of_order(monkeypatch):
 def test_every_reported_table_is_verified(monkeypatch):
     import powermonoid.search as search
 
-    # window_group verifies each twin candidate, and find each member of H,
-    # each table once: by closure, the window maps form a group, so the
-    # transpositions (C[0] b) of every component C and the member verify
-    # every table of its coset
+    # window_group decides each twin candidate from its own pairs and
+    # verifies nothing; find verifies each member of H once: by closure,
+    # the window maps form a group, so the transpositions (C[0] b) of every
+    # component C and the member verify every table of its coset
     real = search.verify_window_map
     for m in (1, 2, 3):
         u = build_window(m)
@@ -505,21 +513,18 @@ def test_every_reported_table_is_verified(monkeypatch):
 
         monkeypatch.setattr(search, "verify_window_map", recording)
         search.window_group(u)
-        candidates = set(seen)
-        seen.clear()
+        assert not seen, f"m={m}"
         got = search.find_window_automorphisms(u)
         monkeypatch.setattr(search, "verify_window_map", real)
+        assert seen == collections.Counter(hs) and len(seen) == 2, f"m={m}"
+        # the transpositions decided from their own pairs pass the full check
         ident = identity_table(u)
-        assert all(sum(map(operator.ne, t, ident)) == 2 for t in candidates), f"m={m}"
-        assert {_swapped(ident, c[0], b) for c in comps for b in c[1:]} <= candidates, f"m={m}"
-        assert not candidates & set(hs), f"m={m}"
-        assert seen == collections.Counter(candidates | set(hs)), f"m={m}"
-        assert len(seen) == {1: 2, 2: 4, 3: 36}[m]
+        assert all(real(u, _swapped(ident, c[0], b)) for c in comps for b in c[1:]), f"m={m}"
         # and the result holds exactly those cosets, listed where it is cheap,
-        # over the one component of m <= 2
+        # over the at most one component of m <= 2
         if m <= 2:
-            (comp,) = comps
-            assert list(got) == sorted(t for h in hs for t in _coset(h, comp))
+            moved = tuple(x for c in comps for x in c)
+            assert list(got) == sorted(t for h in hs for t in _coset(h, moved))
 
 
 def test_find_refuses_core_maps_that_would_interleave(monkeypatch):
@@ -820,7 +825,6 @@ def _stand_in_universe(n, pair_sums):
     u.m = 1
     u.elements = tuple(range(n))
     u.pair_sums = pair_sums
-    u._ordered = None
     return u
 
 
@@ -872,7 +876,7 @@ def test_coset_check_matches_naive_on_random_partial_tables():
 
 def test_twin_quotient_orders():
     # |H| for m = 1..4; |G| = the product of |C|! times |H| is the listed count
-    for m, size in ((1, 1), (2, 2), (3, 2), (4, 8)):
+    for m, size in ((1, 2), (2, 2), (3, 2), (4, 8)):
         u = build_window(m)
         comps, hs, order = window_group(u)
         assert len(hs) == size and order == _group_order(u), f"m={m}"
@@ -884,12 +888,19 @@ def test_twin_quotient_orders():
 
 def test_twin_components_match_the_acceptance_derivation():
     # criterion 8 derives the components from every pair of the partial
-    # table, with its own swap check and a union-find
+    # table, with its own swap check and a union-find; T fixes {0,1}, so
+    # the m=1 component of {-1,0} and {0,1}, whose swap is negation, is no
+    # component of T
     from test_acceptance import _twin_components
 
     for m in (1, 2, 3, 4):
         u = build_window(m)
-        assert window_group(u)[0] == _twin_components(u), f"m={m}"
+        full = _twin_components(u)
+        # every twin has sum count 0, the rule that limits the candidates
+        counts = _sum_counts(u)
+        assert all(counts[x] == 0 for c in full for x in c), f"m={m}"
+        up = u.index[(0, 1)]
+        assert window_group(u)[0] == [c for c in full if up not in c], f"m={m}"
 
 
 def test_window_four_group_frozen():

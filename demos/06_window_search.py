@@ -6,8 +6,8 @@ Over the anchored sets inside [-m, m], enumerate every bijection that
 respects addition whenever the sum stays inside the window.  Identity
 and negation always survive.  For m = 1 they are alone; from m = 2 on,
 the window constraint is too loose to pin them: a handful of extremal
-atoms interact with nothing inside the window, so swapping them is
-invisible to the test.
+atoms have every sum with a non-unit outside the window, so swapping
+them is invisible to the test.
 """
 
 from powermonoid import (
@@ -28,8 +28,8 @@ print("exactly id and neg:", sorted(tables) == sorted([identity_table(u), negati
 
 # m = 2: sixteen sets and four survivors.  The two extras come from
 # swapping {-2,-1,0,2} with {-2,0,1,2}: both are atoms, every sum
-# involving either lands outside the window, and neither is a sum of
-# in-window sets, so no constraint tells them apart.
+# with a non-unit leaves the window, and neither is a sum of in-window
+# sets, so no constraint tells them apart.
 u = build_window(2)
 tables = find_window_automorphisms(u)
 print()

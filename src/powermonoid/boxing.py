@@ -8,7 +8,9 @@ arguments in :mod:`powermonoid.proofsteps`.
 
 from __future__ import annotations
 
-from .finset import FinSet, _Record
+from itertools import chain
+
+from .finset import _INT_ONLY, FinSet, _Record
 
 
 class RunProfile(_Record):
@@ -59,8 +61,15 @@ def from_runs(pairs) -> FinSet:
     consecutive runs separated by a gap of at least 2 (touching or
     overlapping runs would merge and are rejected).  Valid pairs list the
     elements in ascending order, so only the two ends are range-checked.
+    The ends must be ints, as :class:`FinSet` elements must: a bool, a float
+    or a string raises TypeError.
     """
-    pairs = [(int(lo), int(hi)) for lo, hi in pairs]
+    pairs = [(lo, hi) for lo, hi in pairs]
+    # one pass over the types in C; a subclass of int other than bool passes
+    if set(map(type, chain.from_iterable(pairs))) != _INT_ONLY:
+        for v in chain.from_iterable(pairs):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"run ends must be integers, got {v!r}")
     if not pairs:
         raise ValueError("a run profile needs at least one run")
     elems = []

@@ -45,6 +45,15 @@ def test_from_runs_validation():
         from_runs([(0, 3), (2, 5)])  # overlap
 
 
+def test_from_runs_refuses_ends_that_are_not_ints():
+    # FinSet refuses the same values as elements
+    for pairs in ([(0, 2.7)], [("1", "3")], [(True, 3)], [(0, 1), (3, False)], [(0.0, 1)]):
+        with pytest.raises(TypeError, match="integers"):
+            from_runs(pairs)
+    assert from_runs([(0, 2)]).elems == (0, 1, 2)
+    assert from_runs([[-3, -1], [2, 2]]).elems == (-3, -2, -1, 2)
+
+
 def test_from_runs_checks_the_range_ends():
     top = MAX_ELEMENT
     assert from_runs([(-top, 1 - top), (top - 1, top)]).elems == (-top, 1 - top, top - 1, top)

@@ -126,8 +126,9 @@ def _rank_monotone(t, comps):
 
 
 def _bound_transport(u):
-    """A test of one table, for m <= 4: it sends {0,1} to {0,1} or {-1,0},
-    and every set to a set with the same bounds, negated in the second case.
+    """A test of one table, a tuple or its bytes, for m <= 4: it sends {0,1}
+    to {0,1} or {-1,0}, and every set to a set with the same bounds, negated
+    in the second case.
     """
     up, down = u.index[(0, 1)], u.index[(-1, 0)]
     bounds = [(e.min, e.max) for e in u.elements]
@@ -423,16 +424,24 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
 
 def test_window_three_survivors_frozen():
     u = build_window(3)
-    for prune in (True, False):
-        _, hs, order = window_group(u, prune)
-        assert len(hs) == 2
-        survivors = find_window_automorphisms(u, prune)
-        assert len(survivors) == order == _group_order(u) == 645120
-        # the search without pruning does not assume bound transport
-        assert all(map(_bound_transport(u), survivors)), f"prune={prune}"
-        digest = hashlib.sha256(b"".join(map(bytes, survivors))).hexdigest()
-        assert digest == BYTES_DIGEST_3, f"prune={prune}"
-        del survivors
+    group = window_group(u)
+    _, hs, order = group
+    assert len(hs) == 2
+    survivors = find_window_automorphisms(u)
+    assert len(survivors) == order == _group_order(u) == 645120
+    # one pass over the listing checks bound transport and feeds the digest
+    holds, digest = _bound_transport(u), hashlib.sha256()
+    for row in map(bytes, survivors):
+        assert holds(row), row
+        digest.update(row)
+    assert digest.hexdigest() == BYTES_DIGEST_3
+    # the search without pruning does not assume bound transport, and it
+    # finds the same components and H, from which the listing is built, so
+    # its tables are the ones walked above
+    assert window_group(u, prune=False) == group
+    unpruned = find_window_automorphisms(u, prune=False)
+    assert len(unpruned) == 645120
+    assert unpruned[:64] == survivors[:64] and unpruned[-64:] == survivors[-64:]
 
 
 def _d1_d2(u):
@@ -551,47 +560,73 @@ def test_find_refuses_a_first_row_that_moves_the_largest_component(monkeypatch, 
         search.find_window_automorphisms(u)
 
 
+def _check_views(maps, slices, rng):
+    """Each slice of maps, and its reversal, is a view of the indices the
+    slice shows: at both ends and at sampled positions it holds the rows of
+    maps there, and read backwards it starts with its own last rows."""
+    every = range(len(maps))
+    for s in slices:
+        for view, shown in ((maps[s], every[s]), (maps[s][::-1], every[s][::-1])):
+            assert isinstance(view, WindowMaps) and len(view) == len(shown), s
+            ks = [0, -1] + [rng.randrange(len(shown)) for _ in range(20)] if shown else []
+            assert all(view[k] == maps[shown[k]] for k in ks), s
+            tail = list(itertools.islice(reversed(view), 64))
+            assert tail == [view[-1 - k] for k in range(min(64, len(view)))], s
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_window_maps_index_slice_and_compare_as_their_list(m):
+    # a full comparison with list(maps) at m <= 2; at m = 3 the same
+    # reads are checked against one another, as each row is unranked alone
     u = build_window(m)
     maps = find_window_automorphisms(u)
-    listed = list(maps)
-    n = len(listed)
-    assert len(maps) == n == _group_order(u)
+    n = len(maps)
+    assert n == _group_order(u)
     rng = random.Random(m)
-    for i in [0, 1, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(300)]:
-        assert maps[i] == listed[i], i
+    sampled = [0, 1, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(300)]
+    assert all(maps[::-1][-1 - i] == maps[i] for i in sampled)
     for i in (n, n + 5, -n - 1):
         with pytest.raises(IndexError):
             maps[i]
-    for s in (slice(None, -1), slice(None, None, -1), slice(5, 70, 3), slice(None, 64),
-              slice(n, None)):
-        view = maps[s]
-        assert isinstance(view, WindowMaps) and len(view) == len(listed[s]), s
-        assert view == listed[s], s
-    assert listed[:64] == maps[:64] and maps[:64] == maps[:64]
-    assert maps[::-1][1] == listed[-2] and maps[:-1][-1] == listed[-2]
-    assert maps[::-1][::-1][:70] == listed[:70]
+    _check_views(maps, (slice(None, -1), slice(None, None, -1), slice(5, 70, 3),
+                        slice(None, 64), slice(n, None)), rng)
+    assert maps[::-1][1] == maps[-2] and maps[:-1][-1] == maps[-2]
+    assert maps[::-1][::-1][:70] == maps[:70] == list(maps[:70])
+    # each coset starts at its member of H and ends with every twin
+    # component's images reversed
+    comps, hs, _ = window_group(u)
+    size = n // len(hs)
+    for b, h in enumerate(hs):
+        last = h
+        for c in comps:
+            last = _placed(last, c, [h[x] for x in reversed(c)])
+        assert maps[b * size] == h and maps[(b + 1) * size - 1] == last, b
+    assert all(maps[b * size - 1] < maps[b * size] for b in range(1, len(hs)))
     # ascending, so a bisection finds identity and negation
     for t in (identity_table(u), negation_table(u)):
-        i = bisect_left(maps, t)
-        assert maps[i] == listed[i] == t
+        assert maps[bisect_left(maps, t)] == t
     drawn = random.Random(m).sample(maps, min(24, n))
-    assert drawn == random.Random(m).sample(listed, min(24, n))
+    assert drawn == [maps[i] for i in random.Random(m).sample(range(n), min(24, n))]
     assert all(t in maps for t in drawn)
     outside = _swapped(identity_table(u), u.index[(0, 1)], u.index[(-1, 0, 1)])
     assert not verify_window_map(u, outside) and outside not in maps
-    assert listed[-1] not in maps[:-1] and listed[0] not in maps[1:] and listed[0] in maps[::-1]
+    assert maps[-1] not in maps[:-1] and maps[0] not in maps[1:] and maps[0] in maps[::-1]
     assert list(outside) not in maps and None not in maps and "x" not in maps
-    assert maps == listed and listed == maps
-    assert not maps != listed and not listed != maps
     # a truncated view is another sequence
-    assert maps[:-1] != listed and listed != maps[:-1] and maps[:-1] != maps
-    assert maps != tuple(listed) and maps[:0] == []
+    assert maps[:-1] != maps and maps[:0] == [] and maps[:64] != tuple(maps[:64])
     with pytest.raises(TypeError):
         hash(maps)
     assert not hasattr(maps, "append") and not hasattr(maps, "sort")
     if m <= 2:
+        listed = list(maps)
+        for i in sampled:
+            assert maps[i] == listed[i], i
+        for s in (slice(None, -1), slice(None, None, -1), slice(5, 70, 3), slice(None, 64),
+                  slice(n, None)):
+            assert maps[s] == listed[s], s
+        assert maps == listed and listed == maps
+        assert not maps != listed and not listed != maps
+        assert maps[:-1] != listed and listed != maps[:-1] and maps != tuple(listed)
         assert repr(maps) == repr(listed) and list(reversed(maps)) == listed[::-1]
 
 
@@ -631,16 +666,21 @@ def _reads_as(rows, expected):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_window_maps_read_backwards_as_their_reversed_list(m):
     # every row is unranked on its own, so reading backwards, strided or
-    # reversed must give the list's rows in the list's reversed order too
+    # reversed must give the list's rows in the list's reversed order too:
+    # in full at m <= 2, and at m = 3 at the ends and sampled rows of views
     maps = find_window_automorphisms(build_window(m))
-    listed = list(maps)
-    n = len(listed)
-    assert maps[::-1] == listed[::-1] and _reads_as(reversed(maps), reversed(listed))
-    for s in (slice(None, None, -3), slice(n // 2, 1, -3), slice(-2, -n - 5, -7),
-              slice(3, n // 3, -3)):
-        view = maps[s]
-        assert view == listed[s] and _reads_as(reversed(view), reversed(listed[s])), s
-    assert maps[::-3][::-1] == listed[::-3][::-1] and maps[::-1][5:50:-1] == []
+    n = len(maps)
+    slices = (slice(None, None, -3), slice(n // 2, 1, -3), slice(-2, -n - 5, -7),
+              slice(3, n // 3, -3), slice(None, None, -1), slice(None, None, 3))
+    _check_views(maps, slices, random.Random(m))
+    assert maps[::-1][5:50:-1] == []
+    if m <= 2:
+        listed = list(maps)
+        assert maps[::-1] == listed[::-1] and _reads_as(reversed(maps), reversed(listed))
+        for s in slices:
+            view = maps[s]
+            assert view == listed[s] and _reads_as(reversed(view), reversed(listed[s])), s
+        assert maps[::-3][::-1] == listed[::-3][::-1]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -214,7 +214,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             f"--oracle is exhaustive over bijections; windows above {ORACLE_MAX_WINDOW} are not supported"
         )
     u = build_window(args.window)
-    survivors = find_window_automorphisms(u, prune=args.prune == "on")
+    survivors = find_window_automorphisms(u)
     names = [str(e) for e in u.elements]
     payload: dict = {"m": args.window, "survivors": len(survivors), "elements": names}
     payload["maps"] = [[names[k] for k in t] for t in survivors[:MAPS_LIMIT]]
@@ -284,8 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the cap is search.LIST_MAX_WINDOW, written out so that building the
     # parser imports nothing; a test keeps the two equal
     p.add_argument("--window", type=int, required=True, help="window radius (1..3)")
-    p.add_argument("--prune", choices=("on", "off"), default="on", help="invariant pruning")
-    p.add_argument("--oracle", action="store_true", help="cross-check against the unpruned oracle")
+    p.add_argument("--oracle", action="store_true", help="cross-check against the brute-force oracle")
     p.set_defaults(func=_cmd_search)
 
     return parser

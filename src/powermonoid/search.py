@@ -106,11 +106,13 @@ digit, and nothing of size |C|! is built.  By closure, every table of the
 coset is a window map iff h and each (C[0] b) are, and window_group has
 decided each such transposition from its own pairs.  So each member of H
 is verified against the full partial table and checked to ascend on every
-component, pruning or not, and a failing one raises.  Every table of a
-coset agrees with h before the smallest moved element, everywhere when
-nothing moves, so the cosets of the sorted members follow one another in
-order when those members strictly increase before it; otherwise the search
-raises too.
+component, and a failing one raises.  The listing always takes the search
+with pruning; the one without, which assumes neither bound transport nor
+sum counts, is only the tests' reference for the candidate rule.  Every
+table of a coset agrees with h before the smallest moved element,
+everywhere when nothing moves, so the cosets of the sorted members follow
+one another in order when those members strictly increase before it;
+otherwise the search raises too.
 
 The window is built without a set sum: element i selects the nonzero
 values by the bits of i, so its position mask, bit v + m for each v, is a
@@ -260,8 +262,10 @@ def window_group(u: WindowUniverse, prune: bool = True
     and its whole component is assigned with it.  With prune on, {0,1} goes
     to {-1,0} or {0,1}, and every later element to a set of its class of
     bounds and sum count, the bounds negated when {0,1} went to {-1,0}.
-    These are the rules proven in the module docstring.  The members are
-    not verified here, only in :func:`find_window_automorphisms`.
+    These are the rules proven in the module docstring.  prune=False makes
+    every unused set a candidate, the tests' reference for those rules.
+    The members are not verified here, only in
+    :func:`find_window_automorphisms`.
     """
     n = len(u.elements)
     unit, up, down = u.index[(0,)], u.index[(0, 1)], u.index[(-1, 0)]
@@ -442,23 +446,23 @@ class WindowMaps(Sequence):
         return repr(list(self))
 
 
-def find_window_automorphisms(u: WindowUniverse, prune: bool = True) -> WindowMaps:
+def find_window_automorphisms(u: WindowUniverse) -> WindowMaps:
     """All window automorphisms, as a lazy ascending sequence of image-index tables.
 
     By the module lemma these are the cosets h<T> of the members h of H.
     Each member is verified here and checked to ascend on every twin
-    component, pruning or not, and a failing one raises RuntimeError; by
-    closure, with the transpositions :func:`window_group` decided, that
-    verifies its whole coset.  The sorted members must strictly increase
-    before the smallest moved element, or everywhere when nothing moves, so
-    that their cosets follow one another in order; otherwise this raises
-    RuntimeError too.  Only the tables read from the result are built; see
-    :class:`WindowMaps`.  Windows above :data:`LIST_MAX_WINDOW` are refused.
+    component, and a failing one raises RuntimeError; by closure, with the
+    transpositions :func:`window_group` decided, that verifies its whole
+    coset.  The sorted members must strictly increase before the smallest
+    moved element, or everywhere when nothing moves, so that their cosets
+    follow one another in order; otherwise this raises RuntimeError too.
+    Only the tables read from the result are built; see :class:`WindowMaps`.
+    Windows above :data:`LIST_MAX_WINDOW` are refused.
     """
     if u.m > LIST_MAX_WINDOW:
         raise ValueError(f"windows above m={LIST_MAX_WINDOW} have at least 33! automorphisms, "
                          "too many to list")
-    comps, members, _ = window_group(u, prune)
+    comps, members, _ = window_group(u)
     steps = [(a, b) for c in comps for a, b in zip(c, c[1:])]
     if not all(verify_window_map(u, h) and all(h[a] < h[b] for a, b in steps) for h in members):
         raise RuntimeError("a member of H is not a window map ascending on every twin component")

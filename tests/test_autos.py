@@ -65,6 +65,21 @@ def test_table_spec():
         ])
 
 
+def test_apply_refuses_what_is_no_map_spec():
+    with pytest.raises(TypeError, match="not a map spec: 'negation'"):
+        apply("negation", as_zero_set([0, 1]))
+
+
+def test_homomorphism_check_fails_on_one_broken_sum():
+    # negation on {0,1}, but {0,1} + {0,1} = {0,1,2} goes to {-2,0}, not to
+    # {-1,0} + {-1,0} = {-2,-1,0}; the table is injective all the same
+    up, two = as_zero_set([0, 1]), as_zero_set([0, 1, 2])
+    broken = Table([(up, apply(Negation(), up)), (two, as_zero_set([-2, 0]))])
+    assert not verify_homomorphism(broken, [(up, up)])
+    whole = Table([(up, apply(Negation(), up)), (two, apply(Negation(), two))])
+    assert verify_homomorphism(whole, [(up, up)])
+
+
 @given(zero_sets(), zero_sets())
 def test_identity_negation_max_reflection_are_additive(x, y):
     pairs = [(x, y)]
@@ -144,6 +159,11 @@ def test_step_preimage_system():
         else:
             assert (a, b) == (0, 1)
     assert sols == sorted(sols)
+
+
+def test_step_preimage_system_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        solve_step_preimage_system(-1)
 
 
 def test_step_preimage_scales_with_bound():

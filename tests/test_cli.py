@@ -116,6 +116,16 @@ def test_parse_error_exits_2_and_names_token():
     assert "bad" in proc.stderr and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal, reason", [("{1", "unterminated set literal"),
+                                             ("{1,,2}", "empty element in set literal")],
+                         ids=["unterminated", "empty-element"])
+def test_malformed_literal_exits_2_and_names_it(literal, reason):
+    proc = run_cli("sum", literal, "{0}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {reason} {literal!r}\n"
+
+
 @pytest.mark.parametrize("span", ["0..10000000", "0..1000000000000"])
 def test_huge_interval_shorthand_is_refused_before_any_work(span):
     start = time.perf_counter()
@@ -244,10 +254,13 @@ def test_search_autos_oracle_agreement():
     assert payload["oracle_matches"] is True
 
 
-def test_search_autos_prune_off():
-    payload = run_json("search-autos", "--window", "2", "--prune", "off")
-    assert payload["survivors"] == 4
-    assert len(payload["maps"]) == 4
+def test_search_autos_refuses_prune():
+    # the search always prunes; the unpruned rule is a test reference only
+    proc = run_cli("search-autos", "--window", "2", "--prune", "off")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --prune off" in proc.stderr
+    assert "--prune" not in run_cli("search-autos", "--help").stdout
 
 
 def test_search_autos_oracle_rejects_large_windows():
@@ -508,6 +521,20 @@ def test_bare_package_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], ["powermonoid.finset"]]
+
+
+def test_submodule_attribute_loads_that_module_alone():
+    # the package reads an exported submodule name as its import: search
+    # brings finset and monoid, which it imports itself, and nothing else
+    proc = run_isolated(
+        "import json, powermonoid\n"
+        "cap = powermonoid.search.MAX_WINDOW\n"
+        "ours = sorted(name for name in sys.modules if name.startswith('powermonoid.'))\n"
+        "print(json.dumps([cap, ours]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        6, ["powermonoid.finset", "powermonoid.monoid", "powermonoid.search"]]
 
 
 def test_search_help_names_the_window_cap_of_search():

@@ -133,6 +133,14 @@ def test_set_operators_and_hash():
     assert list(x) == [-1, 0, 2]
 
 
+def test_set_operators_refuse_other_types():
+    x = make_set([0, 1])
+    # == and + defer to the other operand, which knows no FinSet either
+    assert (x == (0, 1)) is False and x != (0, 1)
+    with pytest.raises(TypeError):
+        x + 1
+
+
 def test_rendering():
     x = make_set([-1, 0, 2])
     assert str(x) == "{-1,0,2}"

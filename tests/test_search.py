@@ -101,18 +101,18 @@ def _patch_members(monkeypatch, members):
 
     real = search.window_group
 
-    def patched(u, prune=True):
-        comps, hs, order = real(u, prune)
+    def patched(u):
+        comps, hs, order = real(u)
         return comps, members(hs), order
 
     monkeypatch.setattr(search, "window_group", patched)
 
 
-def _first_rows(u, prune=True):
+def _first_rows(u):
     """The tables of find_window_automorphisms at multiples of |L|!, L the
     largest twin component: each member of H composed with each arrangement
     of the other components, with L fixed."""
-    return list(find_window_automorphisms(u, prune)[::math.factorial(len(_largest_twins(u)))])
+    return list(find_window_automorphisms(u)[::math.factorial(len(_largest_twins(u)))])
 
 
 def _rank_monotone(t, comps):
@@ -372,16 +372,13 @@ def test_survivors_are_sym_iso_times_core():
     # at m=2, which H fixes
     for m, h_order in ((1, 2), (2, 2)):
         u = build_window(m)
-        group = window_group(u)
-        comps, hs, _ = group
+        comps, hs, _ = window_group(u)
         assert len(comps) == m - 1 and len(hs) == h_order
         if m == 1:
             assert hs == [identity_table(u), negation_table(u)]
-        assert window_group(u, prune=False) == group
         assert all(h[i] == i for h in hs for c in comps for i in c)
         survivors = find_window_automorphisms(u)
         assert len(survivors) == math.prod(math.factorial(len(c)) for c in comps) * len(hs)
-        assert survivors == find_window_automorphisms(u, prune=False)
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == FROZEN_DIGESTS[m]
         assert all(map(_bound_transport(u), survivors)), f"m={m}"
 
@@ -412,10 +409,19 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
         partners = [sum(e.min + f.min >= -m and e.max + f.max <= m for f in u.elements)
                     for e in u.elements]
         assert touching == list(map(operator.add, partners, counts)), f"m={m}"
-    # maps found without the sum-count pruning, or without any search at all
+    # maps found without any search at m = 1, 2.  At m = 3, 4 the generators
+    # of G: the members of H found without the sum-count pruning, and each
+    # transposition (C[0] b) of the components that criterion 8 derives from
+    # every pair.  Two maps that keep every sum count compose into one that
+    # does, so the generators cover all of G
+    from test_acceptance import _twin_components
+
     maps = {m: window_survivors_oracle(build_window(m)) for m in (1, 2)}
-    maps[3] = _first_rows(build_window(3), prune=False)
-    assert {m: len(tables) for m, tables in maps.items()} == {1: 2, 2: 4, 3: 16}
+    for m in (3, 4):
+        u = build_window(m)
+        maps[m] = window_group(u, prune=False)[1] + [
+            _swapped(identity_table(u), c[0], b) for c in _twin_components(u) for b in c[1:]]
+    assert {m: len(tables) for m, tables in maps.items()} == {1: 2, 2: 4, 3: 12, 4: 63}
     for m, tables in maps.items():
         counts = _sum_counts(build_window(m))
         for t in tables:
@@ -424,8 +430,7 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
 
 def test_window_three_survivors_frozen():
     u = build_window(3)
-    group = window_group(u)
-    _, hs, order = group
+    _, hs, order = window_group(u)
     assert len(hs) == 2
     survivors = find_window_automorphisms(u)
     assert len(survivors) == order == _group_order(u) == 645120
@@ -435,13 +440,6 @@ def test_window_three_survivors_frozen():
         assert holds(row), row
         digest.update(row)
     assert digest.hexdigest() == BYTES_DIGEST_3
-    # the search without pruning does not assume bound transport, and it
-    # finds the same components and H, from which the listing is built, so
-    # its tables are the ones walked above
-    assert window_group(u, prune=False) == group
-    unpruned = find_window_automorphisms(u, prune=False)
-    assert len(unpruned) == 645120
-    assert unpruned[:64] == survivors[:64] and unpruned[-64:] == survivors[-64:]
 
 
 def _d1_d2(u):
@@ -478,19 +476,17 @@ def test_core_maps_increase_before_the_first_isolated_element():
     # each run of |L|! tables permutes L alone; at m=3 these tables are H
     # spread over the 2^3 arrangements of the twin pairs
     u = build_window(1)
-    for prune in (True, False):
-        # no twin component at m=1: the listing is H, in order
-        hs = window_group(u, prune)[1]
-        assert list(find_window_automorphisms(u, prune)) == hs == sorted(hs) and len(hs) == 2
+    # no twin component at m=1: the listing is H, in order
+    hs = window_group(u)[1]
+    assert list(find_window_automorphisms(u)) == hs == sorted(hs) and len(hs) == 2
     for m, count in ((2, 2), (3, 16)):
         u = build_window(m)
         largest = _largest_twins(u)
         head = largest[0]
-        for prune in (True, False):
-            firsts = _first_rows(u, prune)
-            assert len(firsts) == count
-            assert all(t[x] == x for t in firsts for x in largest), f"m={m}"
-            assert all(a[:head] < b[:head] for a, b in zip(firsts, firsts[1:])), f"m={m}"
+        firsts = _first_rows(u)
+        assert len(firsts) == count
+        assert all(t[x] == x for t in firsts for x in largest), f"m={m}"
+        assert all(a[:head] < b[:head] for a, b in zip(firsts, firsts[1:])), f"m={m}"
 
 
 def test_find_refuses_core_maps_out_of_order(monkeypatch):
@@ -918,11 +914,10 @@ def test_twin_quotient_orders():
     # |H| for m = 1..4; |G| = the product of |C|! times |H| is the listed count
     for m, size in ((1, 2), (2, 2), (3, 2), (4, 8)):
         u = build_window(m)
-        comps, hs, order = window_group(u)
+        _, hs, order = window_group(u)
         assert len(hs) == size and order == _group_order(u), f"m={m}"
         assert hs == sorted(set(hs)), f"m={m}"
         if m <= 3:
-            assert window_group(u, prune=False) == (comps, hs, order), f"m={m}"
             assert order == len(find_window_automorphisms(u)), f"m={m}"
 
 
@@ -960,11 +955,16 @@ def test_window_four_group_frozen():
 
 
 def test_prune_matches_no_prune_and_oracle():
+    # without pruning, every unused set is a candidate, assuming neither
+    # bound transport nor sum counts; the search finds the same components
+    # and H, from which the listing is built.  m = 4 is the first window
+    # whose H holds more than identity and negation
+    for m in (1, 2, 3, 4):
+        u = build_window(m)
+        assert window_group(u, prune=False) == window_group(u), f"m={m}"
     for m in (1, 2):
         u = build_window(m)
-        pruned = find_window_automorphisms(u, prune=True)
-        assert pruned == find_window_automorphisms(u, prune=False)
-        assert pruned == window_survivors_oracle(u)
+        assert find_window_automorphisms(u) == window_survivors_oracle(u)
 
 
 def test_oracle_shares_nothing_with_the_search(monkeypatch):

@@ -78,10 +78,12 @@ class FinSet:
             raise ValueError("empty set is not an element of the power monoid")
         self._elems = tuple(sorted(seen))
 
-    @staticmethod
-    def _from_sorted(elems: tuple[int, ...]) -> "FinSet":
+    @classmethod
+    def _from_sorted(cls, elems: tuple[int, ...]) -> "FinSet":
         """Trusted constructor: elems is a nonempty ascending tuple of distinct ints.
 
+        Builds an instance of the class it is called on, so a subclass's
+        own invariant, such as a ZeroSet's 0, is the caller's to vouch for.
         Only the two ends are checked against the range, so a sum that
         leaves it still raises OverflowError, naming the same element the
         ascending per-element check would.
@@ -91,7 +93,7 @@ class FinSet:
         if elems[-1] > MAX_ELEMENT:
             v = elems[bisect_right(elems, MAX_ELEMENT)]
             raise OverflowError(f"element {v} outside the supported integer range")
-        obj = object.__new__(FinSet)
+        obj = object.__new__(cls)
         obj._elems = elems
         return obj
 

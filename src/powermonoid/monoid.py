@@ -15,10 +15,18 @@ the Z are the exact covers of X by translates Y + z, held as bitmasks over
 X's element positions so that their width is |X| however wide the span.
 On intervals the cost follows the number of factorizations returned; on
 sparse atoms the pinned pools are nearly always empty.
+
+Y is always the narrower factor: the spans of Y and Z sum to the span of
+X, so b - a <= (max X - min X) / 2, and on equal spans Y has the smaller
+min.  That names one factor of each pair Y, so each pair is built once,
+and Y's pool, the one walked subset by subset, is the smaller.  Only the
+two factors of equal min and equal span share a branch; it yields them in
+both orders, and the lexicographically larger order is dropped.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
 from .finset import FinSet
@@ -61,35 +69,51 @@ def _check_cap(x: ZeroSet, max_size: int) -> None:
         raise ValueError(f"set has {len(x)} elements, above the enumeration cap {max_size}")
 
 
-def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, list[int], int, list[tuple[int, int]]]]:
-    """Every factor Y != {0} of x with min Y <= min Z, and what its Z may hold.
+def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, tuple[int, ...], int, list[tuple[int, int]]]]:
+    """Every narrower factor Y != {0} of x, and what its cofactor Z may hold.
 
     Masks index x's elements by position, bit i for the i-th smallest, so
     their width is |x| whatever the span.  Yields (Y, forced, cover,
-    candidates): forced is [c, 0, d], cover the mask of Y + forced, and
-    each candidate (z, mask) an optional z with Y + z inside x.  The Z with
-    Y + Z = x are exactly forced plus the candidates whose masks complete
-    cover to the full mask, and only Y for which some Z exists (forced plus
-    all candidates) are yielded.  Pairs with min Y > min Z are these swapped.
+    candidates): forced is the sorted elements of {c, 0, d}, cover the mask
+    of Y + forced, and each candidate (z, mask) an optional z with Y + z
+    inside x.  The Z with Y + Z = x are exactly forced plus the candidates
+    whose masks complete cover to the full mask, and only Y for which some
+    Z exists (forced plus all candidates) are yielded.
+
+    The branch (a, b) = (min Y, max Y) is taken only when Y is no wider
+    than Z, b - a <= d - c, which is 2(b - a) <= max x - min x, and on a
+    tie of widths only when a <= c.  Every pair {Y, Z} with Y + Z = x and
+    neither factor the unit is generated: its spans sum to max x - min x,
+    so naming Y the narrower factor, or on equal spans the one with the
+    smaller min, meets both conditions.  Then a <= 0 <= b, (a, b) != (0, 0)
+    because Y != {0}, and a, b, c, d, a + d and b + c all lie in x, as Y
+    and Z are subsets of x and Y + Z = x; so the branch (a, b) is taken,
+    Y is among the subsets grown from its pool and Z among the covers.
+    Each pair comes from one branch, that of its narrower factor, or on
+    equal spans its lower one; only when the two factors have equal min
+    and equal span do they share the branch, which yields both orders.
     """
     elems = x.elems
     lo, hi = elems[0], elems[-1]
     pos = {v: 1 << i for i, v in enumerate(elems)}
     full = (1 << len(elems)) - 1
-    for a in elems:
-        # only min Y <= min Z; the other half is the same pairs swapped
-        if 2 * a > lo:
-            break
+    span = hi - lo
+    half = span // 2
+    zero = bisect_left(elems, 0)
+    # b - a <= d - c is b <= a + span / 2, so a < -span / 2 leaves no b >= 0
+    for a in elems[bisect_left(elems, -half):zero + 1]:
         c = lo - a
         if c not in pos:
             continue
-        for b in reversed(elems):
-            if b < 0:
-                break
+        # on equal spans Y takes the smaller min; bisect the top b rather
+        # than test each.  b = 0 with a = 0 would make Y the unit, and Z is
+        # never the unit, as its cofactor x is never the narrower
+        top = bisect_right(elems, a + half - (a > c and not span % 2))
+        for b in elems[zero + (a == 0):top]:
             d = hi - b
-            # (0, 0) and (lo, hi) make Y or Z the unit; a + d and b + c are
-            # the forced sums not already known to be min x, 0 or max x
-            if (a, b) in ((0, 0), (lo, hi)) or d not in pos or a + d not in pos or b + c not in pos:
+            # a + d and b + c are the forced sums not already known to be
+            # min x, 0 or max x
+            if d not in pos or a + d not in pos or b + c not in pos:
                 continue
             py = [y for y in elems if a < y < b and y and y + c in pos and y + d in pos]
             pz = [z for z in elems if c < z < d and z and z + a in pos and z + b in pos]
@@ -106,7 +130,7 @@ def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, list[int], int, list[tuple[in
                 for _, m in cands:
                     reach |= m
                 if reach == full:
-                    yield ZeroSet(ys), [c, 0, d], cover, cands
+                    yield ZeroSet(ys), tuple(sorted({c, 0, d})), cover, cands
                 for j in range(i, len(py)):
                     y = py[j]
                     stack.append((
@@ -151,11 +175,19 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
     _check_cap(x, max_size)
     target = (1 << len(x)) - 1
     found = []
-    for y, fz, cover, cands in _pinned(x):
+    for y, forced, cover, cands in _pinned(x):
+        ye = y.elems
+        # when Z has Y's bounds the branch yields the pair both ways round,
+        # so keep the ordered one; any other pair comes once, so swap it
+        twin = forced[0] == ye[0] and forced[-1] == ye[-1]
         for zs in _covers(cover, cands, target):
-            z = ZeroSet([*fz, *zs])
-            if y.elems <= z.elems:
+            # zs are distinct elements of x strictly between min Z and
+            # max Z, none of them 0, so the sorted merge repeats nothing
+            z = ZeroSet._from_sorted(tuple(sorted(forced + zs)))
+            if ye <= z.elems:
                 found.append((y, z))
+            elif not twin:
+                found.append((z, y))
     found.sort(key=lambda p: (p[0].elems, p[1].elems))
     return found
 

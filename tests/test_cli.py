@@ -100,6 +100,25 @@ def test_factor():
     }
 
 
+# stdout digests of `factor -- X`, recorded before the search named the
+# narrower factor Y: they pin each pair's orientation and the list order,
+# where the frozen counts in test_monoid.py pin only the length
+@pytest.mark.parametrize("x, digest", [
+    ("0..15", "b7f5ab3b67ab46b81307f87a9e4bfd937065f44a5ca60e8fe5e74a0f355f0c68"),
+    ("-8..7", "2e8a0cd00bb87aa57a35df3f74b2edf129b64c61900c2b811b54de9c4284133b"),
+    # {0..7} + {0,10,20}
+    ("{0,1,2,3,4,5,6,7,10,11,12,13,14,15,16,17,20,21,22,23,24,25,26,27}",
+     "32c13c4c064c82044598d523008f160ef327bc873019027f66f47a30abaa25a7"),
+    # {-5..2} + {-9,0,9}
+    ("{-14,-13,-12,-11,-10,-9,-8,-7,-5,-4,-3,-2,-1,0,1,2,4,5,6,7,8,9,10,11}",
+     "8dda95abcad86aa4d83c56b3658991e2e4d174b220637c72e55631b032ccac13"),
+], ids=["0..15", "-8..7", "three-blocks", "three-offset-blocks"])
+def test_factor_stdout_frozen(x, digest, capsys):
+    assert cli.main(["factor", "--", x]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (digest, "")
+
+
 def test_apply():
     assert run_json("apply", "negation", "{-1,0,2}")["result"] == "{-2,0,1}"
     assert run_json("apply", "max-reflection", "{0,2,3}")["result"] == "{0,1,3}"

@@ -111,7 +111,13 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     from .monoid import UNIT, as_zero_set, factorizations
 
     x = as_zero_set(parse_set(args.x))
-    pairs = [[str(y), str(z)] for y, z in factorizations(x)]
+    # a factor can sit in many pairs, so each distinct one is rendered once
+    literals: dict[tuple[int, ...], str] = {}
+
+    def literal(y) -> str:
+        return literals.get(y.elems) or literals.setdefault(y.elems, str(y))
+
+    pairs = [[literal(y), literal(z)] for y, z in factorizations(x)]
     # a non-unit is an atom iff it has no nontrivial factorization
     payload = {"set": str(x), "atom": x != UNIT and not pairs, "factorizations": pairs}
     return payload, _key_lines(payload, ("set", "atom")) + [f"{y} + {z}" for y, z in pairs], 0

@@ -149,7 +149,13 @@ _NOT_A_BIJECTION = "not a bijection table over the window"
 
 
 class WindowUniverse:
-    """All zero-anchored subsets of [[-m,m]] plus their partial Cayley table."""
+    """The window of radius m, 1 <= m <= MAX_WINDOW: all zero-anchored
+    subsets of [[-m,m]] plus their partial Cayley table.
+
+    Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
+    when bit b of i is set.  The partial table is built from the elements'
+    position masks by shift-or, with no set sum; see the module docstring.
+    """
 
     __slots__ = ("m", "elements", "index", "pair_sums")
 
@@ -191,14 +197,8 @@ class WindowUniverse:
         self.pair_sums = pair_sums
 
 
-def build_window(m: int) -> WindowUniverse:
-    """The window of radius m, 1 <= m <= MAX_WINDOW, as a :class:`WindowUniverse`.
-
-    Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
-    when bit b of i is set.  The partial table is built from the elements'
-    position masks by shift-or, with no set sum; see the module docstring.
-    """
-    return WindowUniverse(m)
+# build_window(m) is WindowUniverse(m), under the name the package exported first
+build_window = WindowUniverse
 
 
 def verify_window_map(u: WindowUniverse, table) -> bool:

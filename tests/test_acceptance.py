@@ -7,9 +7,11 @@ for the whole monoid, but a window of radius m >= 2 also admits swaps of
 elements that no in-window sum tells apart.  So the criterion derives
 those transpositions T from the partial table alone, pins them against
 their known values, and asserts that the survivors are exactly
-<T, negation>: 2, 4 and 645,120 = 8!*2*2^3 maps for m = 1, 2, 3.
+<T, negation>: 2, 4 and 645,120 = 8!*2*2^3 maps for m = 1, 2, 3.  It
+walks each listing once and stores none of its tables.
 """
 
+import hashlib
 import itertools
 import math
 import operator
@@ -20,7 +22,6 @@ from powermonoid import (
     Identity,
     MaxReflection,
     Negation,
-    UNIT,
     absorption_suite,
     apply,
     as_zero_set,
@@ -46,6 +47,7 @@ from powermonoid import (
     window_survivors_oracle,
 )
 from powermonoid.autos import STEP_DOWN, STEP_UP
+from test_monoid import _factor_oracle
 
 
 def _report(line):
@@ -254,6 +256,30 @@ _KNOWN_COMPONENTS = {
 }
 
 
+# sha256 of the m=3 tables joined as bytes, from the list whose repr digest
+# was 84de4b99911f24a2f010a1c48c9a386dd296a28a3550ed8448ca278bf7f8a056
+BYTES_DIGEST_3 = "ec3cb3ff1c808af334eaabe66bd34422d37f24729e73502331ba85052b6ff08d"
+
+
+def _bound_transport(u):
+    """A test of one table, a tuple or its bytes, for m <= 4: it sends {0,1}
+    to {0,1} or {-1,0}, and every set to a set with the same bounds, negated
+    in the second case.
+    """
+    up, down = u.index[(0, 1)], u.index[(-1, 0)]
+    bounds = [(e.min, e.max) for e in u.elements]
+    ids = {b: c for c, b in enumerate(sorted(set(bounds)))}
+    kept = bytes(ids[b] for b in bounds)
+    expected = {up: kept, down: bytes(ids[(-hi, -lo)] for lo, hi in bounds)}
+    coded = kept.ljust(256, b"\xff")
+
+    def holds(t) -> bool:
+        # byte i of the translate is the bounds class of the image of i
+        return bytes(t).translate(coded) == expected.get(t[up])
+
+    return holds
+
+
 def test_08_window_search_pins_identity_and_negation():
     # The paper's {identity, negation} is the automorphism group of the whole
     # monoid.  A finite window is less constrained: elements that no
@@ -291,44 +317,50 @@ def test_08_window_search_pins_identity_and_negation():
 
         survivors = find_window_automorphisms(u)
         measured.append(f"m={m} {len(survivors)} survivors, |G|={order}")
-        survivor_set = set(survivors)
-        canonical = sorted([identity_table(u), neg])
-        if not set(canonical) <= survivor_set:
+        if identity_table(u) not in survivors or neg not in survivors:
             failures.append(f"m={m}: identity or negation missing")
-        if m == 1 and survivors != canonical:
-            failures.append(f"m=1: {len(survivors)} survivors, expected exactly identity and negation")
-        if m <= 2 and survivors != window_survivors_oracle(u):
-            failures.append(f"m={m}: pruned search disagrees with the unpruned oracle")
-        outside = sum(shape(t) not in cosets for t in survivors)
+        # one pass over the listing, keeping only the previous row: rows
+        # that strictly ascend repeat none.  Each row, as bytes, which order
+        # as the tuples do below 256 elements, is checked against
+        # <T, negation> and bound transport, and the rows joined must hash as
+        # the oracle's at m <= 2 and as the frozen tables at m = 3
+        if m <= 2:
+            oracle = b"".join(map(bytes, window_survivors_oracle(u)))
+            source, expected = "the unpruned oracle", hashlib.sha256(oracle).hexdigest()
+        else:
+            source, expected = "the frozen m=3 tables", BYTES_DIGEST_3
+        holds, digest = _bound_transport(u), hashlib.sha256()
+        previous, count, unordered, outside, unbound = b"", 0, 0, 0, 0
+        for row in map(bytes, survivors):
+            count += 1
+            unordered += row <= previous
+            previous = row
+            outside += shape(row) not in cosets
+            unbound += not holds(row)
+            digest.update(row)
+        if digest.hexdigest() != expected:
+            failures.append(f"m={m}: the survivors differ from {source}")
+        if m == 1 and count != 2:
+            failures.append(f"m=1: {count} survivors, expected exactly identity and negation")
+        if unordered:
+            failures.append(f"m={m}: {unordered} survivors do not follow the one before in "
+                            "ascending order, so the search may repeat one")
         if outside:
             failures.append(f"m={m}: {outside} survivors lie outside <T, negation>")
-        if len(survivor_set) != len(survivors):
-            failures.append(f"m={m}: the search repeats a survivor")
-        if len(survivors) != order:
-            failures.append(f"m={m}: {len(survivors)} survivors, |<T, negation>| = {order}")
+        if unbound:
+            failures.append(f"m={m}: {unbound} survivors neither keep nor negate every bound")
+        if count != order:
+            failures.append(f"m={m}: {count} survivors, |<T, negation>| = {order}")
     elapsed = time.perf_counter() - t0
     _criterion(8, "window search survivors", failures, elapsed, 60.0, "; ".join(measured))
 
 
 def test_09_factorization_examples():
-    def oracle(x):
-        rest = [v for v in x.elems if v != 0]
-        subs = [
-            as_zero_set(combo + (0,))
-            for r in range(len(rest) + 1)
-            for combo in itertools.combinations(rest, r)
-        ]
-        found = set()
-        for y, z in itertools.product(subs, repeat=2):
-            if y != UNIT and z != UNIT and sumset_naive(y, z) == x:
-                found.add((y, z) if y.elems <= z.elems else (z, y))
-        return sorted(found, key=lambda p: (p[0].elems, p[1].elems))
-
     t0 = time.perf_counter()
     failures = []
     x = as_zero_set([-1, 0, 1, 2])
     got = factorizations(x)
-    if len(got) != 3 or got != oracle(x):
+    if len(got) != 3 or got != _factor_oracle(x):
         failures.append(f"factorizations({x}) gave {len(got)} pairs")
     if factorizations(as_zero_set([-1, 0, 2])) != []:
         failures.append("factorizations({-1,0,2}) not empty")

@@ -208,7 +208,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     )
 
     if not 1 <= args.window <= MAX_WINDOW:
-        raise ValueError(f"--window must be between 1 and {MAX_WINDOW}")
+        raise ValueError(f"--window must be between 1 and {LIST_MAX_WINDOW}")
     if args.window > LIST_MAX_WINDOW:
         raise ValueError(
             f"--window {args.window} is refused: its survivors include every permutation of "

@@ -177,13 +177,6 @@ def test_partial_table_is_exactly_the_in_window_sums():
         assert list(u.pair_sums) == sorted(u.pair_sums), f"m={m}"
 
 
-def test_identity_and_negation_always_verify():
-    for m in (1, 2, 3):
-        u = build_window(m)
-        assert verify_window_map(u, identity_table(u))
-        assert verify_window_map(u, negation_table(u))
-
-
 def test_verify_rejects_the_unit_step_swap():
     # swapping {0,1} and {0,2} breaks {0,1}+{0,1} = {0,1,2}
     u = build_window(2)
@@ -282,13 +275,6 @@ def test_window_one_by_full_brute_force():
     assert sorted(survivors) == find_window_automorphisms(u)
 
 
-def test_window_one_survivors():
-    u = build_window(1)
-    assert find_window_automorphisms(u) == sorted(
-        [identity_table(u), negation_table(u)]
-    )
-
-
 def test_window_two_survivors_frozen():
     u = build_window(2)
     got = find_window_automorphisms(u)
@@ -307,18 +293,6 @@ def test_window_two_survivors_frozen():
     assert sorted(got) == sorted(
         [identity_table(u), negation_table(u), tuple(swap), tuple(neg_swap)]
     )
-
-
-def test_window_two_extremal_atoms_are_unconstrained():
-    u = build_window(2)
-    for extremal in ((-2, -1, 0, 2), (-2, 0, 1, 2)):
-        i = u.index[extremal]
-        i0 = u.index[(0,)]
-        for (a, b), k in u.pair_sums.items():
-            if i in (a, b):
-                assert i0 in (a, b)  # only the unit pairs with it
-            if k == i:
-                assert i0 in (a, b)  # only the unit-product reaches it
 
 
 def test_isolated_elements_touch_only_the_unit():
@@ -402,15 +376,6 @@ def test_sum_count_is_the_factorization_count_and_kept_by_window_maps():
         counts = _sum_counts(build_window(m))
         for t in tables:
             assert [counts[k] for k in t] == counts, f"m={m}: {t}"
-
-
-def test_window_three_survivors_frozen():
-    u = build_window(3)
-    _, hs, order = window_group(u)
-    assert len(hs) == 2
-    # criterion 8 walks the listing once, against BYTES_DIGEST_3 and bound
-    # transport on every row; here only its length is read
-    assert len(find_window_automorphisms(u)) == order == _group_order(u) == 645120
 
 
 def _d1_d2(u):
@@ -963,11 +928,6 @@ def test_find_refuses_windows_above_three():
 def test_oracle_window_cap():
     with pytest.raises(ValueError):
         window_survivors_oracle(build_window(3))
-
-
-def test_search_is_deterministic():
-    u = build_window(2)
-    assert find_window_automorphisms(u) == find_window_automorphisms(u)
 
 
 def test_as_table_spec_round_trip():

@@ -114,11 +114,19 @@ everywhere when nothing moves, so the cosets of the sorted members follow
 one another in order when those members strictly increase before it;
 otherwise the search raises too.
 
-The window is built without a set sum: element i selects the nonzero
-values by the bits of i, so its position mask, bit v + m for each v, is a
-bit shuffle of i, and the mask decodes to the element.  An in-window sum is
-the or of the partner's mask shifted once per element of the head, shuffled
-back to its index.
+The window is built without a set sum, by Kronecker substitution: one
+integer product per in-window pair.  With slot width w = m.bit_length() + 1,
+element X has the code c(X), the sum of 2^(w(v+m)) over its values v, a
+1 in slot v + m.  Slot v + 2m of c(X)c(Y) then holds r(v), the number of
+pairs (x, y) in X x Y with x + y = v, as long as no slot overflows.  None
+does for an in-window pair: its bounds add up inside [[-m,m]], so its two
+widths sum to at most 2m, one factor is at most m wide and has at most
+m + 1 elements, and r(v) <= min(|X|, |Y|) <= m + 1 <= 2^(w-1) < 2^w.
+Adding 2^(w-1) - 1 to each of the 4m + 1 slots leaves each below 2^w, so
+nothing carries, and sets a slot's top bit, 2^(w-1), exactly when r(v) is
+not 0.  Masking every slot to its top bit gives the code of X + Y, whose
+values lie in [[-m,m]], shifted up by m slots and w - 1 bits, and one dict
+lookup turns it into the sum's index.
 """
 
 from __future__ import annotations
@@ -127,9 +135,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import repeat
 from math import factorial, prod
-from operator import eq, index, lshift, or_
+from operator import eq, index
 
-from .finset import _from_mask
 from .monoid import ZeroSet
 
 MAX_WINDOW = 6
@@ -153,47 +160,63 @@ class WindowUniverse:
     subsets of [[-m,m]] plus their partial Cayley table.
 
     Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
-    when bit b of i is set.  The partial table is built from the elements'
-    position masks by shift-or, with no set sum; see the module docstring.
+    when bit b of i is set.  m must be an int, not a bool: anything else
+    raises TypeError.
+
+    The partial table is built with no set sum.  Each element X gets the
+    code c(X) = sum of 2^(w(v+m)) over its values v, with slot width
+    w = m.bit_length() + 1.  An in-window pair has one factor at most m
+    wide, so each slot v + 2m of c(X)c(Y) counts at most m + 1 <= 2^(w-1)
+    ways to write v.  Adding 2^(w-1) - 1 to every slot therefore carries
+    out of none and sets the top bit of exactly the nonzero ones, and the
+    top bits are c(X + Y) shifted up by m slots and w - 1 bits, which a
+    dict maps to the sum's index: one multiplication, addition, mask and
+    lookup per pair.  See the module docstring for the whole argument.
     """
 
     __slots__ = ("m", "elements", "index", "pair_sums")
 
     def __init__(self, m: int):
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise TypeError(f"window radius must be an integer, got {m!r}")
         if not 1 <= m <= MAX_WINDOW:
             raise ValueError(f"window radius must be in 1..{MAX_WINDOW}")
         self.m = m
-        # element i selects the nonzero values [-m..-1, 1..m] by the bits of
-        # i, and its position mask has bit v + m for each of its v: the low m
-        # bits of i stay, the high m move up past bit m, which is 0's
-        low = (1 << m) - 1
-        masks = [(i & low) | (i >> m << m + 1) | 1 << m for i in range(1 << 2 * m)]
-        elements = [ZeroSet(_from_mask(s, -m)) for s in masks]
-        self.elements = tuple(elements)
-        self.index = {e.elems: i for i, e in enumerate(elements)}
+        # element i = (hi << m) | lo holds the values -m + b for the bits b
+        # of lo, then 0, then 1 + b for the bits b of hi; its code has a
+        # 1 in slot v + m, w bits wide, for each of its values v
+        w = m.bit_length() + 1
+        heads, tails = [((), 0)], [((), 0)]
+        for b in range(m):
+            heads += [(vs + (b - m,), c | 1 << w * b) for vs, c in heads]
+            tails += [(vs + (b + 1,), c | 1 << w * (b + 1 + m)) for vs, c in tails]
+        zero = 1 << w * m
+        elems = [neg + (0,) + pos for pos, _ in tails for neg, _ in heads]
+        codes = [nc | zero | pc for _, pc in tails for _, nc in heads]
+        self.elements = tuple(map(ZeroSet._from_sorted, elems))
+        self.index = {e: i for i, e in enumerate(elems)}
         # the bounds alone decide whether a sum stays inside, so each bounds
-        # class has one ascending list of in-window partners
+        # class has one ascending list of in-window partners, with their codes
         by_bounds: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(elements):
-            by_bounds.setdefault((e.min, e.max), []).append(i)
-        partners = {
-            (lo, hi): sorted(j for (lo2, hi2), js in by_bounds.items()
-                             if lo + lo2 >= -m and hi + hi2 <= m for j in js)
-            for lo, hi in by_bounds
-        }
+        for i, e in enumerate(elems):
+            by_bounds.setdefault((e[0], e[-1]), []).append(i)
+        partners = {}
+        for lo, hi in by_bounds:
+            js = sorted(j for (lo2, hi2), ks in by_bounds.items()
+                        if lo + lo2 >= -m and hi + hi2 <= m for j in ks)
+            partners[(lo, hi)] = js, [codes[j] for j in js]
+        # no slot of an in-window product carries (see the class docstring),
+        # so its slots' top bits are the sum's code shifted up by shift bits
+        ones = sum(1 << w * s for s in range(4 * m + 1))
+        offset, keep = ones * ((1 << w - 1) - 1), ones << w - 1
+        shift = w * m + w - 1
+        by_mark = {c << shift: k for k, c in enumerate(codes)}.__getitem__
         pair_sums: dict[tuple[int, int], int] = {}
-        for i, ei in enumerate(elements):
-            js = partners[(ei.min, ei.max)]
-            js = js[bisect_left(js, i):]
-            pjs = [masks[j] for j in js]
-            # or-ing j's mask shifted by v + m for each v of element i gives
-            # the sum's position mask, shifted up by m
-            sums = [0] * len(js)
-            for v in ei:
-                sums = list(map(or_, sums, map(lshift, pjs, repeat(v + m))))
-            # shifted down by m, the inverse shuffle gives the sum's index
-            pair_sums.update(zip(zip(repeat(i), js),
-                                 [(s >> m & low) | (s >> 2 * m + 1 << m) for s in sums]))
+        for i, e in enumerate(elems):
+            js, cs = partners[(e[0], e[-1])]
+            start = bisect_left(js, i)
+            marks = map(keep.__and__, map(offset.__add__, map(codes[i].__mul__, cs[start:])))
+            pair_sums.update(zip(zip(repeat(i), js[start:]), map(by_mark, marks)))
         self.pair_sums = pair_sums
 
 

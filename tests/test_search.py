@@ -177,6 +177,45 @@ def test_partial_table_is_exactly_the_in_window_sums():
         assert list(u.pair_sums) == sorted(u.pair_sums), f"m={m}"
 
 
+@pytest.mark.parametrize("m", [True, False, 2.0, "2", None])
+def test_window_radius_must_be_an_int(m):
+    with pytest.raises(TypeError, match=f"window radius must be an integer, got {m!r}"):
+        WindowUniverse(m)
+
+
+def test_slot_width_bounds_every_representation_count():
+    # the build packs each element into slots of w = m.bit_length() + 1 bits
+    # and needs every count r(v) of ways to write v in an in-window pair to
+    # stay at most 2^(w-1); the proof bounds r(v) by min(|X|, |Y|) <= m + 1,
+    # and both bounds are reached
+    for m in range(1, MAX_WINDOW + 1):
+        u = build_window(m)
+        sizes = [len(e) for e in u.elements]
+        assert max(min(sizes[i], sizes[j]) for i, j in u.pair_sums) == m + 1, f"m={m}"
+        assert m + 1 <= 2 ** m.bit_length()
+        if m <= 4:
+            widest = max(max(collections.Counter(x + y for x in u.elements[i]
+                                                 for y in u.elements[j]).values())
+                         for i, j in u.pair_sums)
+            assert widest == m + 1, f"m={m}"
+
+
+def test_window_seven_builds_through_the_same_code(monkeypatch):
+    # m = 7 is past the cap and the one radius whose counts fill a slot's
+    # top bit (r = 8 = 2^(w-1)), so the build has no headroom left there
+    import powermonoid.search as search
+
+    monkeypatch.setattr(search, "MAX_WINDOW", 7)
+    u = search.WindowUniverse(7)
+    assert len(u.elements) == 16384
+    assert len(u.pair_sums) == 165920
+    assert list(u.pair_sums) == sorted(u.pair_sums)
+    assert set(u.pair_sums) == set(_bounds_fitting_pairs(u))
+    rng = random.Random(7)
+    for i, j in rng.sample(list(u.pair_sums), 5000):
+        assert u.elements[u.pair_sums[(i, j)]] == sumset_naive(u.elements[i], u.elements[j])
+
+
 def test_verify_rejects_the_unit_step_swap():
     # swapping {0,1} and {0,2} breaks {0,1}+{0,1} = {0,1,2}
     u = build_window(2)

@@ -203,6 +203,8 @@ def _random_zero_set(rng: random.Random, lo: int, hi: int) -> ZeroSet:
 
 
 def _require_samples(samples: int) -> None:
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
@@ -210,7 +212,8 @@ def _require_samples(samples: int) -> None:
 def absorption_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     """Random-instance checks of the absorption identity and bound transport.
 
-    Raises ValueError for ``samples < 1``, which would check nothing.
+    Raises ValueError for ``samples < 1``, which would check nothing, and
+    TypeError for a bool or any other non-int.
     """
     _require_samples(samples)
     rng = random.Random(seed)
@@ -273,7 +276,8 @@ def rigidity_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     """The structural facts that force rigidity, as named sub-checks.
 
     Failures are reported in the results, not raised.  Raises ValueError
-    for ``samples < 1``, which would leave only the fixed probe.
+    for ``samples < 1``, which would leave only the fixed probe, and
+    TypeError for a bool or any other non-int.
     """
     _require_samples(samples)
     checks = []

@@ -242,7 +242,12 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
 
 
 def kfold(x: FinSet, k: int) -> FinSet:
-    """k-fold sumset x + x + ... + x; the empty fold (k = 0) is {0}."""
+    """k-fold sumset x + x + ... + x; the empty fold (k = 0) is {0}.
+
+    k must be an int, not a bool: anything else raises TypeError.
+    """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"fold count must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("fold count must be nonnegative")
     acc = FinSet((0,))

@@ -202,6 +202,10 @@ def test_suites_refuse_sample_counts_below_one(suite, samples):
     # no sets drawn would still report every check as passed
     with pytest.raises(ValueError, match="samples must be at least 1"):
         suite(seed=0, samples=samples)
+    # a bool would run and be echoed as true, and 2.5 would fail in range
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(TypeError, match=f"samples must be an integer, got {bad!r}"):
+            suite(seed=0, samples=bad)
 
 
 @given(zero_sets(), zero_sets())

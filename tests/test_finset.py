@@ -281,6 +281,10 @@ def test_kfold_matches_repeated_addition(x, k):
 def test_kfold_rejects_negative():
     with pytest.raises(ValueError):
         kfold(make_set([0, 1]), -1)
+    # a bool would fold as 0 or 1, and a float or a string is no count
+    for k in (True, False, 2.0, "3", None):
+        with pytest.raises(TypeError, match=f"fold count must be an integer, got {k!r}"):
+            kfold(make_set([0, 1]), k)
 
 
 def test_parse_set_literals():

@@ -149,7 +149,13 @@ def make_set(values: Iterable[int]) -> FinSet:
 
 
 def interval(lo: int, hi: int) -> FinSet:
-    """The discrete interval {lo, lo+1, ..., hi}; lo > hi is an error."""
+    """The discrete interval {lo, lo+1, ..., hi}; lo > hi is an error.
+
+    Both ends must be ints, not bools: anything else raises TypeError.
+    """
+    for end in (lo, hi):
+        if isinstance(end, bool) or not isinstance(end, int):
+            raise TypeError(f"interval ends must be integers, got {end!r}")
     if lo > hi:
         raise ValueError(f"empty interval [{lo},{hi}]")
     return FinSet._from_sorted(tuple(range(lo, hi + 1)))
@@ -163,7 +169,10 @@ def translate(x: FinSet, t: int) -> FinSet:
     """x + t elementwise."""
     if type(t) is int and -MAX_ELEMENT <= x.min + t and x.max + t <= MAX_ELEMENT:
         return FinSet._from_sorted(tuple(map(t.__add__, x.elems)))
-    # the validating constructor raises as for any other input
+    # a bool would shift as 0 or 1; the validating constructor raises as for
+    # any other input
+    if isinstance(t, bool):
+        raise TypeError(f"shift must be an integer, got {t!r}")
     return FinSet(v + t for v in x)
 
 
@@ -171,6 +180,8 @@ def reflect(x: FinSet, t: int) -> FinSet:
     """t - x elementwise (reflection through t/2)."""
     if type(t) is int and -MAX_ELEMENT <= t - x.max and t - x.min <= MAX_ELEMENT:
         return FinSet._from_sorted(tuple(map(t.__sub__, reversed(x.elems))))
+    if isinstance(t, bool):
+        raise TypeError(f"reflection offset must be an integer, got {t!r}")
     return FinSet(t - v for v in x)
 
 

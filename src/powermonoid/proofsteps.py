@@ -14,10 +14,11 @@ shorter run survives on one side only.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from enum import Enum
 
 from .boxing import bdim, from_runs, runs
-from .finset import FinSet, _Record, interval, make_set, sumset
+from .finset import FinSet, _Record, interval, sumset
 from .monoid import ZeroSet, as_zero_set
 
 
@@ -129,18 +130,18 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
     collapsed = interval(ea[v] + 1, a.max + c)
     if sumset(a, block) != collapsed or sumset(b, block) != collapsed:
         raise AssertionError("padding block failed to collapse both sets to one interval")
-    helper = make_set((0,) + block.elems)
+    # block.min >= 1, so 0 goes first
+    helper = FinSet._from_sorted((0,) + block.elems)
     lhs = sumset(a, helper)
     rhs = sumset(b, helper)
-    # run structure of the padded sums: low runs survive, the rest is one interval
-    lhs_expect = set(range(ea[2 * u], a.max + c + 1))
-    for j in range(u):
-        lhs_expect.update(range(ea[2 * j], ea[2 * j + 1] + 1))
-    h = min(eb[2 * s], ea[v] + 1)
-    rhs_expect = set(range(h, b.max + c + 1))
-    for j in range(s):
-        rhs_expect.update(range(eb[2 * j], eb[2 * j + 1] + 1))
-    if lhs != make_set(lhs_expect) or rhs != make_set(rhs_expect):
+    # run structure of the padded sums: a's first u runs and b's first s runs
+    # survive, and the rest is one interval up to max + c.  Those runs of a
+    # are its elements below ea[2u]; b's elements from h = min(eb[2s],
+    # ea[v] + 1) up lie in [h, b.max + c] anyway.  So each sum is the set's
+    # elements below a point p, then all of [p, max + c]
+    def padded(x: FinSet, p: int) -> tuple[int, ...]:
+        return x.elems[:bisect_left(x.elems, p)] + tuple(range(p, x.max + c + 1))
+    if lhs.elems != padded(a, ea[2 * u]) or rhs.elems != padded(b, min(eb[2 * s], ea[v] + 1)):
         raise AssertionError("padded sums do not match their predicted run structure")
     w = eb[v] + 1
     if w not in lhs or w in rhs:

@@ -108,12 +108,20 @@ def test_oversized_kfold_is_refused_before_any_sum():
     assert run_cli("kfold", "{0,1000}", "1000").returncode == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("--case", "1", "--A", "{-1,0,100000000000,100000000002}",
-     "--B", "{-1,0,100000000001,100000000002}"),
-    ("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "3000000"),
+# runs the CLI on its argv, then writes its exit code and peak RSS (KiB on
+# Linux) to stderr: one line, when the CLI itself writes nothing there
+MEASURE_PEAK = ("import resource, subprocess, sys\n"
+                "code = subprocess.call([sys.executable, '-m', 'powermonoid', *sys.argv[1:]])\n"
+                "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (("--case", "1", "--A", "{-1,0,100000000000,100000000002}",
+      "--B", "{-1,0,100000000001,100000000002}"), None),
+    (("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "3000000"),
+     ("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "999990")),
 ], ids=["case-1", "case-2"])
-def test_oversized_theorem_padding_is_refused_before_any_witness(argv):
+def test_oversized_theorem_padding_is_refused_before_any_witness(argv, accepted):
     # before the cap, case 1 at a width of 3 * 10**6 took 6.0 s and at 10**11
     # ran out of memory, and case 2 with c = 3 * 10**6 took 10.2 s and 1.2 GB
     start = time.perf_counter()
@@ -122,6 +130,22 @@ def test_oversized_theorem_padding_is_refused_before_any_witness(argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "above the cap of 1000000" in proc.stderr and proc.stderr.count("\n") == 1
+    if accepted is None:
+        return
+    # just under the cap the witness is built: 2.1-2.5 s, a 221 MB peak and
+    # 20.7 MB of stdout on a 2-vCPU host, where building the padded sums as
+    # Python sets peaked at 376 MB.  A fresh measuring child runs the CLI and
+    # reports its peak, which no earlier child of the test process can mask
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", MEASURE_PEAK, "verify", "theorem", *accepted],
+                          capture_output=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    code, peak_kib = map(int, proc.stderr.split())
+    assert (proc.returncode, code) == (0, 0)
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "6c5193aed63fb37edee07f6e46b28956e9e439b4beaa0d18fc5571c80eb99f06")
+    assert elapsed < 6
+    assert peak_kib < 300 * 1024, f"peak {peak_kib / 1024:.0f} MB"
 
 
 def test_nested_reversal_is_read_by_its_parity(capsys):

@@ -84,6 +84,11 @@ def test_interval_and_bounds():
     assert bounds(make_set([-3, 0, 7])) == (-3, 7)
     with pytest.raises(ValueError):
         interval(2, 1)
+    # a bool would count as 0 or 1, and any other non-int end is no bound
+    for lo, hi, bad in ((True, 3, True), (0, False, False), (0.0, 2, 0.0), ("1", 3, "1"),
+                        (1, None, None)):
+        with pytest.raises(TypeError, match=f"^interval ends must be integers, got {bad!r}$"):
+            interval(lo, hi)
 
 
 def test_sumset_worked_examples():
@@ -100,8 +105,8 @@ def test_translate_and_reflect():
 
 
 def test_translate_and_reflect_validate_like_the_constructor():
-    # the trusted route covers int shifts inside the range; anything else is
-    # built by the validating constructor and raises as it does
+    # the trusted route covers int shifts inside the range; anything else but
+    # a bool is built by the validating constructor and raises as it does
     top = make_set([MAX_ELEMENT - 2, MAX_ELEMENT - 1, MAX_ELEMENT])
     bottom = make_set([-MAX_ELEMENT, -MAX_ELEMENT + 1, 0, MAX_ELEMENT])
     for build, x, t, values in (
@@ -117,6 +122,13 @@ def test_translate_and_reflect_validate_like_the_constructor():
         assert str(trusted.value) == str(validated.value)
     assert translate(top, -MAX_ELEMENT).elems == (-2, -1, 0)
     assert reflect(bottom, 0).elems == (-MAX_ELEMENT, 0, MAX_ELEMENT - 1, MAX_ELEMENT)
+    # a bool would act as 0 or 1, so it is refused before any element is built
+    x = make_set([0, 2, 3])
+    for t in (True, False):
+        with pytest.raises(TypeError, match=f"^shift must be an integer, got {t!r}$"):
+            translate(x, t)
+        with pytest.raises(TypeError, match=f"^reflection offset must be an integer, got {t!r}$"):
+            reflect(x, t)
 
 
 @given(finsets(), st.one_of(st.integers(-50, 50), st.floats(-50, 50), st.text(max_size=2), st.none()))

@@ -4,7 +4,7 @@ The package works with finite sets of integers under the Minkowski sum
 X + Y = {x + y}, concentrating on the reduced monoid of sets that contain 0.
 It provides:
 
-- finset: the FinSet value type, bit-parallel and naive sumsets, k-fold
+- finset: the FinSet value type, the sumset and its naive oracle, k-fold
   sums, translation and reflection, the set literal grammar.
 - boxing: run decomposition and the boxing dimension.
 - monoid: ZeroSets, atoms, exhaustive factorization into unordered pairs.

@@ -70,8 +70,8 @@ def _parse_auto(token: str):
 
 def _kfold(args: argparse.Namespace) -> str:
     x, k = parse_set(args.x), args.k
-    # the fold spans k * (max X - min X) + 1 integers; dense sums inside it
-    # cost time quadratic in their size, so the span takes the shorthand cap
+    # the fold spans k * (max X - min X) + 1 integers and may fill them all,
+    # so the span takes the shorthand cap, as the output size does
     span = k * (x.max - x.min) + 1
     if span > MAX_SHORTHAND:
         raise ValueError(f"kfold of a set of width {x.max - x.min} with k = {k} spans {span} "

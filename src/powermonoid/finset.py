@@ -8,13 +8,20 @@ kept side by side on purpose: :func:`sumset` is the fast path used
 everywhere, :func:`sumset_naive` is the pairwise reference oracle the test
 suite checks it against, and ``sumset`` never calls it.
 
-``sumset`` chooses per call, by estimated work, between a dense route (a
-shift-or over a bigint mask) and a hashed route (a set of pairwise sums,
-then a sort).  Every step runs in linear time at C speed: the mask is
-encoded by flagging a ``bytearray`` and reading it with ``int(..., 2)``,
-and decoded by compressing a ``range`` with the bytes of ``bin(mask)``.
-Results that are already sorted and distinct skip validation through a
-trusted constructor that range-checks only the two ends.
+``sumset`` chooses per call, by estimated work, between three routes: a
+dense route (a shift-or over a bigint mask), a hashed route (a set of
+pairwise sums, then a sort) and a runs route (the union of the interval
+sums of the operands' maximal runs).  Each is costed in units of one bit
+of a shift-or: the dense route by the span and the mask widths, the hashed
+route by the pairs, the runs route by the pairs of runs.  Runs are found
+by bisection, and only when the cheaper of the other two estimates is
+large enough to repay the count, which gives up past a fixed number of
+runs.  Every step of the dense route runs in linear time at C speed: the
+mask is encoded by flagging a ``bytearray`` and reading it with
+``int(..., 2)``, and decoded by compressing a ``range`` with the bytes of
+``bin(mask)``.  Results that are already sorted and distinct skip
+validation through a trusted constructor that range-checks only the two
+ends.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 # Magnitude cap standing in for a native signed 64-bit width; results that
 # would leave the range raise OverflowError instead of wrapping.
@@ -42,6 +49,19 @@ _SETUP_BITS = 3 << 17
 _CODEC_BITS = 2048
 _LOOP_BITS = 8192
 _PAIR_BITS = 8192
+# The runs route costs _INTERVAL_BITS per interval sum, one for each pair of
+# runs.  Runs are counted only when the cheaper of the other two estimates
+# reaches _RUNS_MIN_BITS, about a span of 4096 for the dense route or 1024
+# pairs for the hashed one, and counting gives up past _RUN_LIMIT runs of
+# an operand.  That bounds the count at about _RUN_LIMIT * log2(n) probes,
+# a small share of either route wherever it is made, and the interval sums
+# held at _RUN_LIMIT**2.  Fitted like the constants above, to timings of
+# all three routes on 160 seeded pairs of unions of 1 to 64 runs of 1 to
+# 10^4 elements: the routes chosen took 1.2% more in total than the
+# fastest ones.
+_INTERVAL_BITS = 1 << 14
+_RUNS_MIN_BITS = 1 << 23
+_RUN_LIMIT = 64
 
 _INT_ONLY = {int}
 _ONE = ord("1")
@@ -223,8 +243,52 @@ def _shift_or(mask: int, width: int, offsets: tuple[int, ...]) -> int:
     return acc | part << (start - base)
 
 
+def _runs(elems: tuple[int, ...], limit: int) -> list[tuple[int, int]] | None:
+    """The maximal runs of elems as ascending (lo, hi) pairs; None past limit runs.
+
+    For distinct ascending ints elems[j] - elems[i] >= j - i, with equality
+    just when elems[i..j] is one run, so elems[j] - j is nondecreasing and
+    each run's end is found by bisecting on it: about log2(n) probes a run.
+    """
+    out = []
+    i, n = 0, len(elems)
+    while i < n:
+        if len(out) == limit:
+            return None
+        key = elems[i] - i
+        lo, hi = i, n
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if elems[mid] - mid == key:
+                lo = mid
+            else:
+                hi = mid
+        out.append((elems[i], elems[lo]))
+        i = lo + 1
+    return out
+
+
+def _sum_of_runs(rx: list[tuple[int, int]], ry: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The ascending elements of the union of every run of rx plus every run of ry.
+
+    Each [a, b] + [c, d] is the interval [a + c, b + d]; sorted by their
+    starts, intervals that overlap or touch merge into one range.
+    """
+    sums = sorted([(a + c, b + d) for a, b in rx for c, d in ry])
+    parts = []
+    lo, hi = sums[0]
+    for a, b in sums:
+        if a > hi + 1:
+            parts.append(range(lo, hi + 1))
+            lo = a
+        if b > hi:
+            hi = b
+    parts.append(range(lo, hi + 1))
+    return tuple(chain.from_iterable(parts))
+
+
 def sumset(x: FinSet, y: FinSet) -> FinSet:
-    """Minkowski sum x + y, by whichever of two routes costs less.
+    """Minkowski sum x + y, by whichever of three routes costs least.
 
     The dense route holds one operand as a bit vector anchored at its
     minimum; the sum is the union of one shifted copy per element of the
@@ -232,7 +296,13 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     pass over the span of the sum plus, per shifted copy, the width of the
     mask.  The hashed route adds every pair into a set and sorts the
     result; its cost grows with |x| * |y| whatever the span, so
-    {0, 2**40} + {0, 2**41} never allocates a 2**41-bit mask.
+    {0, 2**40} + {0, 2**41} never allocates a 2**41-bit mask.  The runs
+    route splits both operands into maximal runs and takes the union of
+    the r_x * r_y interval sums, one per pair of runs; its cost grows with
+    r_x * r_y, not with the elements or the span, so the sum of two
+    intervals of 10**6 costs one interval and the output.  Runs are
+    counted only when the other two routes are both estimated dear, and
+    the count gives up past a fixed number of runs; see the constants.
     """
     xs, ys = x._elems, y._elems
     lo = xs[0] + ys[0]
@@ -242,7 +312,14 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     # shift the mask of xs once per element of ys, whichever way costs less
     if ny * (wx + _LOOP_BITS) > nx * (wy + _LOOP_BITS):
         xs, ys, nx, ny, wx = ys, xs, ny, nx, wy
-    if _SETUP_BITS + span * _CODEC_BITS + ny * (wx + _LOOP_BITS) <= _PAIR_BITS * nx * ny:
+    dense = _SETUP_BITS + span * _CODEC_BITS + ny * (wx + _LOOP_BITS)
+    pairs = _PAIR_BITS * nx * ny
+    if dense >= _RUNS_MIN_BITS and pairs >= _RUNS_MIN_BITS:
+        rx = _runs(xs, _RUN_LIMIT)
+        ry = rx and _runs(ys, _RUN_LIMIT)
+        if ry and len(rx) * len(ry) * _INTERVAL_BITS < min(dense, pairs):
+            return FinSet._from_sorted(_sum_of_runs(rx, ry))
+    if dense <= pairs:
         return _from_mask(_shift_or(_bit_mask(xs), wx, ys), lo)
     if nx < ny:
         xs, ys = ys, xs
@@ -256,11 +333,39 @@ def kfold(x: FinSet, k: int) -> FinSet:
     """k-fold sumset x + x + ... + x; the empty fold (k = 0) is {0}.
 
     k must be an int, not a bool: anything else raises TypeError.
+
+    Folds by doubling, after dividing out d, the gcd of x - min x.  With
+    m = min x and d > 0, x is the image of y = (x - m) / d under
+    v -> m + d*v, and a sum of k elements of x is
+    (m + d*a_1) + ... + (m + d*a_k) = k*m + d*(a_1 + ... + a_k), the image
+    of a sum of k elements of y under v -> k*m + d*v.  So
+    kfold(x, k) = k*m + d*kfold(y, k), elementwise, at every k >= 0, and the
+    map is increasing, so it keeps the order.  y has gcd 1, so its folds
+    fill their span but for bounded fringes at both ends (Nathanson, "Sums
+    of finite sets of integers", 1972) and keep few runs: {0,2} folds as
+    {0,1} does.  Only a fold wide enough for the runs route to answer its
+    doublings is rescaled; narrower folds are cheap on any route.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"fold count must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("fold count must be nonnegative")
+    m = x.min
+    if k * (x.max - m) * _CODEC_BITS >= _RUNS_MIN_BITS:
+        # imported here, so that a process that folds nothing this wide,
+        # such as every `sum`, never loads math
+        from math import gcd
+
+        d = gcd(*map(m.__rsub__, x.elems))
+        if d > 1:
+            y = FinSet._from_sorted(tuple([(v - m) // d for v in x.elems]))
+            t = k * m
+            return FinSet._from_sorted(tuple([t + d * v for v in _fold(y, k).elems]))
+    return _fold(x, k)
+
+
+def _fold(x: FinSet, k: int) -> FinSet:
+    """kfold by doubling: one sum per bit of k, and one more per set bit."""
     acc = FinSet((0,))
     base = x
     while k:

@@ -115,6 +115,41 @@ MEASURE_PEAK = ("import resource, subprocess, sys\n"
                 "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)")
 
 
+def measure_peak(*argv):
+    """Run the CLI on argv in a fresh measuring child, which no earlier child
+    of the test process can mask; return its stdout, seconds and peak in MB."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", MEASURE_PEAK, *argv], capture_output=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    code, peak_kib = map(int, proc.stderr.split())
+    assert (proc.returncode, code) == (0, 0)
+    return proc.stdout, elapsed, peak_kib / 1024
+
+
+@pytest.mark.parametrize("argv, elems, digest, seconds, mb", [
+    (("sum", "0..999999", "0..999999"), range(1999999),
+     "6045be62ad966416bd7e6a64469eaaa4f2281280cf7c4a232a542265ca13ce3f", 3, 350),
+    (("kfold", "{0,1}", "999999"), range(1000000),
+     "c5fe475222dcf6d1f5e3bac89ef562130b70492f0188d8699e9deacf8143612f", 2, 180),
+    (("kfold", "{0,3,7,11,20}", "49999"), None,
+     "942323bbfb94718f944b642295bda9222d2431a314d4161f6c97f8f7e9407c94", 2, 180),
+    (("kfold", "{0,2}", "499999"), range(0, 1000000, 2),
+     "e6fa537400036bf9212af7d5db57c01c856475a53f3183cba2fd25991548497a", 2, 120),
+], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02"])
+def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
+    # the widest operands the caps accept.  On a 2-vCPU host the dense route
+    # took 49.5, 15.7, 16.0 and 8.1 s over them; by runs, with {0,2} folded
+    # as {0,1}, they take 0.68-0.82, 0.44-0.48, 0.47-0.49 and 0.35-0.41 s
+    # and peak at 256, 129, 129 and 72 MB
+    stdout, elapsed, peak = measure_peak(*argv)
+    if elems is not None:
+        literal = "{" + ",".join(map(str, elems)) + "}"
+        assert stdout == f'{{"op":"{argv[0]}","result":"{literal}"}}\n'.encode()
+    assert hashlib.sha256(stdout).hexdigest() == digest
+    assert elapsed < seconds
+    assert peak < mb, f"peak {peak:.0f} MB"
+
+
 @pytest.mark.parametrize("argv, accepted", [
     (("--case", "1", "--A", "{-1,0,100000000000,100000000002}",
       "--B", "{-1,0,100000000001,100000000002}"), None),
@@ -132,20 +167,14 @@ def test_oversized_theorem_padding_is_refused_before_any_witness(argv, accepted)
     assert "above the cap of 1000000" in proc.stderr and proc.stderr.count("\n") == 1
     if accepted is None:
         return
-    # just under the cap the witness is built: 2.1-2.5 s, a 221 MB peak and
+    # just under the cap the witness is built: 1.2-1.5 s, a 221 MB peak and
     # 20.7 MB of stdout on a 2-vCPU host, where building the padded sums as
-    # Python sets peaked at 376 MB.  A fresh measuring child runs the CLI and
-    # reports its peak, which no earlier child of the test process can mask
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", MEASURE_PEAK, "verify", "theorem", *accepted],
-                          capture_output=True, timeout=60)
-    elapsed = time.perf_counter() - start
-    code, peak_kib = map(int, proc.stderr.split())
-    assert (proc.returncode, code) == (0, 0)
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
+    # Python sets peaked at 376 MB
+    stdout, elapsed, peak = measure_peak("verify", "theorem", *accepted)
+    assert hashlib.sha256(stdout).hexdigest() == (
         "6c5193aed63fb37edee07f6e46b28956e9e439b4beaa0d18fc5571c80eb99f06")
     assert elapsed < 6
-    assert peak_kib < 300 * 1024, f"peak {peak_kib / 1024:.0f} MB"
+    assert peak < 300, f"peak {peak:.0f} MB"
 
 
 def test_nested_reversal_is_read_by_its_parity(capsys):

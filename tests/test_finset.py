@@ -22,6 +22,7 @@ from powermonoid import (
     sumset_naive,
     translate,
 )
+from powermonoid.boxing import runs
 
 
 def test_construction_normalizes_and_sorts():
@@ -174,24 +175,27 @@ def test_sumset_dual_path_wide_span(x, y):
 
 
 class RouteSpy:
-    """Counts the dense route's shift-or passes; zero means the hashed route ran."""
+    """Tells the three sumset routes apart by the helper each one alone calls."""
 
     def __init__(self, monkeypatch):
-        self.dense = 0
-        shift_or = finset._shift_or
+        self.calls = {"dense": 0, "runs": 0}
+        for route, name in (("dense", "_shift_or"), ("runs", "_sum_of_runs")):
+            monkeypatch.setattr(finset, name, self._counted(route, getattr(finset, name)))
 
+    def _counted(self, route, helper):
         def counted(*args):
-            self.dense += 1
-            return shift_or(*args)
+            self.calls[route] += 1
+            return helper(*args)
 
-        monkeypatch.setattr(finset, "_shift_or", counted)
+        return counted
 
     def sum(self, x, y, route):
-        before = self.dense
+        before = dict(self.calls)
         try:
             return sumset(x, y)
         finally:
-            assert ("dense" if self.dense > before else "hashed") == route
+            taken = [r for r in self.calls if self.calls[r] > before[r]] or ["hashed"]
+            assert taken == [route]
 
 
 @pytest.fixture
@@ -199,13 +203,98 @@ def route(monkeypatch):
     return RouteSpy(monkeypatch)
 
 
-@pytest.mark.parametrize("force", ["dense", "hashed"])
+def force(mp, route):
+    """Pin the cost model so that the named route answers every sum."""
+    if route == "runs":
+        for name, value in (("_RUNS_MIN_BITS", 0), ("_INTERVAL_BITS", 0), ("_RUN_LIMIT", 2**64)):
+            mp.setattr(finset, name, value)
+    else:
+        mp.setattr(finset, "_RUN_LIMIT", 0)
+        mp.setattr(finset, "_PAIR_BITS", 2**64 if route == "dense" else 0)
+
+
+ROUTES = ["dense", "hashed", "runs"]
+
+
+@pytest.mark.parametrize("route_name", ROUTES)
 @given(finsets(max_size=20), finsets(max_size=20))
-def test_each_route_matches_naive(force, x, y):
-    # pin the cost model so that one route answers every pair
+def test_each_route_matches_naive(route_name, x, y):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(finset, "_PAIR_BITS", 2**64 if force == "dense" else 0)
-        assert RouteSpy(mp).sum(x, y, force) == sumset_naive(x, y)
+        force(mp, route_name)
+        assert RouteSpy(mp).sum(x, y, route_name) == sumset_naive(x, y)
+
+
+def test_runs_route_on_every_pair_of_small_zero_sets(monkeypatch):
+    # the 128 sets inside [-3, 4] that hold 0, and all 8,256 unordered pairs
+    others = [v for v in range(-3, 5) if v]
+    sets = [make_set([0, *(v for i, v in enumerate(others) if mask >> i & 1)])
+            for mask in range(1 << len(others))]
+    force(monkeypatch, "runs")
+    spy = RouteSpy(monkeypatch)
+    pairs = 0
+    for i, x in enumerate(sets):
+        for y in sets[i:]:
+            assert spy.sum(x, y, "runs") == sumset_naive(x, y), (x, y)
+            pairs += 1
+    assert (len(sets), pairs) == (128, 8256)
+
+
+def blocks(rng, count, length, gap):
+    """A union of count blocks of 1..length elements, gaps of 2..gap between them."""
+    out, v = [], rng.randint(-50, 50)
+    for _ in range(count):
+        n = rng.randint(1, length)
+        out.extend(range(v, v + n))
+        v += n + rng.randint(2, gap)
+    return make_set(out)
+
+
+def test_runs_route_merges_touching_and_overlapping_sums(monkeypatch):
+    # the interval sums, sorted by start, meet the union so far in three
+    # ways: overlapping it, touching it, or one integer short of it, which
+    # must stay a gap; every way occurs below
+    force(monkeypatch, "runs")
+    spy = RouteSpy(monkeypatch)
+    rng = random.Random(11)
+    seen = {"overlap": 0, "touch": 0, "gap of 1": 0}
+    for _ in range(300):
+        x = blocks(rng, rng.randint(1, 6), 4, 4)
+        y = blocks(rng, rng.randint(1, 6), 4, 4)
+        sums = sorted((a + c, b + d) for a, b in runs(x).runs for c, d in runs(y).runs)
+        hi = sums[0][1]
+        for a, b in sums[1:]:
+            if a <= hi:
+                seen["overlap"] += 1
+            elif a == hi + 1:
+                seen["touch"] += 1
+            elif a == hi + 2:
+                seen["gap of 1"] += 1
+            hi = max(hi, b)
+        assert spy.sum(x, y, "runs") == sumset_naive(x, y), (x, y)
+    assert min(seen.values()) > 0, seen
+
+
+def test_long_runs_take_the_runs_route(route):
+    # too many pairs for the oracle: the dense route, pinned, checks them
+    rng = random.Random(12)
+    for count in (1, 3, 20):
+        x, y = blocks(rng, count, 2000, 400), blocks(rng, count, 2000, 400)
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, "dense")
+            expected = sumset(x, y)
+        assert route.sum(x, y, "runs") == expected
+    a, b = interval(0, 10**5 - 1), interval(-5, 10**5)
+    assert route.sum(a, b, "runs").elems == tuple(range(-5, 2 * 10**5))
+
+
+def test_many_runs_fall_back_from_the_runs_route(route):
+    # about 10^4 runs each: r_x * r_y interval sums would cost more than the
+    # dense route, and the run count gives up long before it reaches them
+    rng = random.Random(13)
+    x = make_set(rng.sample(range(40_000), 20_000))
+    y = make_set(rng.sample(range(40_000), 20_000))
+    s = route.sum(x, y, "dense")
+    assert (s.min, s.max) == (x.min + y.min, x.max + y.max)
 
 
 def test_dense_route_above_two_to_the_twenty(route):
@@ -238,10 +327,34 @@ def test_sum_at_the_range_ends(route):
             route.sum(x, y, r)
 
 
+@pytest.mark.parametrize("x, y", [
+    (interval(MAX_ELEMENT - 99, MAX_ELEMENT), make_set([0, 1])),
+    (make_set([MAX_ELEMENT - 50, *range(MAX_ELEMENT - 9, MAX_ELEMENT + 1)]), make_set([0, 3, 4, 60])),
+    (make_set([MAX_ELEMENT - 300, MAX_ELEMENT - 5]), interval(0, 20)),
+    (interval(-MAX_ELEMENT, -MAX_ELEMENT + 99), make_set([-1, 0])),
+    (make_set([-MAX_ELEMENT, -MAX_ELEMENT + 7, -MAX_ELEMENT + 40]), make_set([-8, -3, 0])),
+])
+def test_every_route_names_the_same_element_past_the_range(x, y):
+    # each route builds the sum in ascending order, so each must refuse it
+    # naming the element the ascending per-element check would
+    messages = []
+    for r in ROUTES:
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, r)
+            with pytest.raises(OverflowError) as err:
+                RouteSpy(mp).sum(x, y, r)
+        messages.append(str(err.value))
+    with pytest.raises(OverflowError) as err:
+        make_set(sorted({a + b for a in x for b in y}))
+    assert messages == [str(err.value)] * 3
+
+
 @pytest.mark.parametrize("lo, hi", [(0, 160_000), (-160_000, -7), (-(2**40), 5000 - 2**40)])
-def test_interval_round_trips_through_the_mask(route, lo, hi):
+def test_interval_round_trips_through_the_mask(monkeypatch, lo, hi):
+    # the runs route would answer this sum; pinned off, it is a codec check
+    monkeypatch.setattr(finset, "_RUN_LIMIT", 0)
     x = interval(lo, hi)
-    s = route.sum(x, make_set([0]), "dense")
+    s = RouteSpy(monkeypatch).sum(x, make_set([0]), "dense")
     assert s.elems == tuple(range(lo, hi + 1))
     assert s == sumset_naive(x, make_set([0]))
 
@@ -297,6 +410,39 @@ def test_kfold_rejects_negative():
     for k in (True, False, 2.0, "3", None):
         with pytest.raises(TypeError, match=f"fold count must be an integer, got {k!r}"):
             kfold(make_set([0, 1]), k)
+
+
+# the folds ROADMAP's Baseline times at the CLI's span cap
+BASELINE_FOLDS = ["{0,1}", "{0,2}", "{0,3,7,11,20}", "{-5,0,1,9}", "{0,10,11,37,50,64,99}"]
+
+
+@pytest.mark.parametrize("literal", BASELINE_FOLDS)
+def test_kfold_agrees_with_the_runs_route_pinned_off(literal, monkeypatch):
+    # up to k where the fold spans about 4 * 10**4, well past where the runs
+    # route starts answering the doublings
+    x = parse_set(literal)
+    ks = [*range(9), 40_000 // (x.max - x.min)]
+    folds = [kfold(x, k) for k in ks]
+    monkeypatch.setattr(finset, "_RUN_LIMIT", 0)
+    assert folds == [kfold(x, k) for k in ks]
+    expected = make_set([0])
+    for k, fold in zip(ks, folds[:-1]):
+        assert fold == expected, k
+        expected = sumset_naive(expected, x)
+
+
+def test_kfold_divides_out_the_gcd_and_scales_back():
+    # d > 1 with negative and positive minima, and singletons, where d = 0;
+    # each set is wide enough that every fold from k = 1 on is rescaled
+    for values in ([3], [-4], [0], [0, 2], [-6, -2, 4], [-9, -3, 6, 12], [5, 15, 35], [-7, -1]):
+        x = make_set([1000 * v for v in values])
+        expected = make_set([0])
+        for k in range(8):
+            assert kfold(x, k) == expected, (values, k)
+            expected = sumset_naive(expected, x)
+    # scaled back, the fold refuses the element the ascending check names
+    with pytest.raises(OverflowError, match=f"^element {10**19} outside"):
+        kfold(make_set([0, 2 * 10**18]), 5)
 
 
 def test_parse_set_literals():

@@ -22,6 +22,11 @@ min.  That names one factor of each pair Y, so each pair is built once,
 and Y's pool, the one walked subset by subset, is the smaller.  Only the
 two factors of equal min and equal span share a branch; it yields them in
 both orders, and the lexicographically larger order is dropped.
+
+A pair costs little past its discovery: each Z is emitted as its ascending
+element tuple, in order and with no sort; the pairs are sorted once as
+plain tuples of element tuples; and each distinct factor then becomes one
+ZeroSet, shared by every pair that holds it.
 """
 
 from __future__ import annotations
@@ -141,23 +146,47 @@ def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, tuple[int, ...], int, list[tu
                     ))
 
 
-def _covers(cover: int, cands: list[tuple[int, int]], target: int) -> list[tuple[int, ...]]:
-    """Every subsequence of cands whose masks, with cover, OR to exactly target."""
-    suffix = [0] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
+def _covers(forced: tuple[int, ...], cover: int, cands: list[tuple[int, int]],
+            target: int) -> list[tuple[int, ...]]:
+    """Every Z whose candidates' masks, with cover, OR to exactly target.
+
+    forced is the sorted {c, 0, d} of Z's min c and max d, and each Z comes
+    back as its full ascending element tuple, built in order with no sort:
+    c when c < 0, then the chosen candidates in their ascending order with 0
+    placed before the first positive one, then d when d > 0.  That tuple is
+    strictly ascending and holds each of c, 0 and d once.  _pinned offers
+    the candidates in ascending order, each a nonzero z with c < z < d, and
+    c <= 0 <= d; so c < the negative candidates < 0 < the positive ones < d.
+    When c = 0 there is no negative candidate and c is 0 itself, and when
+    d = 0 there is no positive one and d is 0 itself.
+    """
+    n = len(cands)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | cands[i][1]
+    c, d = forced[0], forced[-1]
+    head = (c,) if c < 0 else ()
+    tail = (d,) if d > 0 else ()
+    # 0 follows the negative candidates, which are the first k
+    k = sum(z < 0 for z, _ in cands)
     out = []
-    stack = [(0, cover, ())]
+    # every entry can still reach target: the first does, as _pinned yields
+    # only the Y whose cover and candidates reach it, and taking cands[i]
+    # keeps acc | suffix[i], so only the branch that skips it needs the test
+    stack = [(0, cover, head)]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, acc, zs = stack.pop()
-        if acc | suffix[i] != target:
-            continue
-        if i == len(cands):
-            out.append(zs)
+        i, acc, zs = pop()
+        if i == k:
+            zs += (0,)
+        if i == n:
+            out.append(zs + tail)
             continue
         z, m = cands[i]
-        stack.append((i + 1, acc, zs))
-        stack.append((i + 1, acc | m, zs + (z,)))
+        i += 1
+        if acc | suffix[i] == target:
+            push((i, acc, zs))
+        push((i, acc | m, zs + (z,)))
     return out
 
 
@@ -170,26 +199,43 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
     The search pins both factors' bounds (see the module docstring), so on
     intervals its cost follows the number of pairs returned, and on sparse
     atoms it is nearly constant.
+
+    The pairs are collected as element tuples, which _covers already
+    builds in order, and sorted once as plain tuples.  Each distinct factor
+    is then one ZeroSet, shared by every pair that holds it: the Y objects
+    _pinned made, and one new object for each other element tuple.
     """
     x = as_zero_set(x)
     _check_cap(x, max_size)
     target = (1 << len(x)) - 1
     found = []
+    factors = {}
     for y, forced, cover, cands in _pinned(x):
         ye = y.elems
+        factors[ye] = y
         # when Z has Y's bounds the branch yields the pair both ways round,
         # so keep the ordered one; any other pair comes once, so swap it
         twin = forced[0] == ye[0] and forced[-1] == ye[-1]
-        for zs in _covers(cover, cands, target):
-            # zs are distinct elements of x strictly between min Z and
-            # max Z, none of them 0, so the sorted merge repeats nothing
-            z = ZeroSet._from_sorted(tuple(sorted(forced + zs)))
-            if ye <= z.elems:
-                found.append((y, z))
+        for ze in _covers(forced, cover, cands, target):
+            if ye <= ze:
+                found.append((ye, ze))
             elif not twin:
-                found.append((z, y))
-    found.sort(key=lambda p: (p[0].elems, p[1].elems))
-    return found
+                found.append((ze, ye))
+    if not found:
+        return found
+    found.sort()
+    new = ZeroSet._from_sorted
+    get = factors.get
+    pairs = []
+    for ye, ze in found:
+        y = get(ye)
+        if y is None:
+            y = factors[ye] = new(ye)
+        z = get(ze)
+        if z is None:
+            z = factors[ze] = new(ze)
+        pairs.append((y, z))
+    return pairs
 
 
 def is_atom(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> bool:

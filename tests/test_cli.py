@@ -150,6 +150,17 @@ def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     assert peak < mb, f"peak {peak:.0f} MB"
 
 
+def test_widest_cited_factor_finishes_within_budget():
+    # 556,710 pairs and 24.2 MB of stdout.  On a 2-vCPU host it takes
+    # 3.6-4.5 s and peaks at 207 MB; while each pair built its own cofactor
+    # ZeroSet it took 5.3-5.7 s and peaked at 250-253 MB
+    stdout, elapsed, peak = measure_peak("factor", "0..20")
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "56eb962f8da231c07deb51c4b600408115fe1511cd6af5ec449148d7c4cfd16e")
+    assert elapsed < 12
+    assert peak < 235, f"peak {peak:.0f} MB"
+
+
 @pytest.mark.parametrize("argv, accepted", [
     (("--case", "1", "--A", "{-1,0,100000000000,100000000002}",
       "--B", "{-1,0,100000000001,100000000002}"), None),

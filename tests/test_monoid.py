@@ -158,8 +158,13 @@ def test_products_factor(pair):
 )
 def test_interval_factorization_counts(lo, hi, count):
     x = as_zero_set(interval(lo, hi).elems)
-    assert len(factorizations(x)) == count
+    pairs = factorizations(x)
+    assert len(pairs) == count
     assert not is_atom(x)
+    # each distinct factor is one ZeroSet, however many pairs hold it
+    factors = [f for p in pairs for f in p]
+    assert all(type(f) is ZeroSet for f in factors)
+    assert len({id(f) for f in factors}) == len({f.elems for f in factors})
 
 
 def test_candidates_with_bounds_worked_examples():

@@ -127,13 +127,27 @@ nothing carries, and sets a slot's top bit, 2^(w-1), exactly when r(v) is
 not 0.  Masking every slot to its top bit gives the code of X + Y, whose
 values lie in [[-m,m]], shifted up by m slots and w - 1 bits, and one dict
 lookup turns it into the sum's index.
+
+The in-window partners of each set are read off the index bits.  Element
+i = (hi << m) | lo, with lo and hi below 2^m, holds 0, the value -m + b for
+each bit b of lo and the value 1 + b for each bit b of hi.  The bounds of
+X + Y are the sums of the bounds, so for X with bounds (-s, t), where
+0 <= s, t <= m, Y is a partner iff min Y >= s - m and max Y <= m - t.
+min Y >= s - m iff Y holds none of -m .. s - m - 1, the values of lo bits
+0 .. s - 1, that is iff the low s bits of Y's lo are clear: its lo is
+l << s with l < 2^(m-s).  max Y <= m - t iff Y holds none of
+m - t + 1 .. m, the values of hi bits m - t .. m - 1, that is iff Y's hi is
+below 2^(m-t).  So the partners of X are exactly the (h << m) | (l << s)
+with h < 2^(m-t) and l < 2^(m-s), and as l << s < 2^m, looping h, then l,
+lists them in ascending order.  The build keeps the partners at or above
+X's own index, row by row in index order, so pair_sums is listed row by
+row with partners ascending: its keys come sorted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import repeat
 from math import factorial, prod
 from operator import eq, index
 
@@ -162,6 +176,14 @@ class WindowUniverse:
     Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
     when bit b of i is set.  m must be an int, not a bool: anything else
     raises TypeError.
+
+    pair_sums maps each in-window pair (i, j), i <= j, to the index of its
+    sum, listed row by row with i ascending and each row's partners
+    ascending, so its keys are sorted.  A set with bounds (-s, t) has as
+    in-window partners exactly the j = (h << m) | (l << s) with
+    h < 2^(m-t) and l < 2^(m-s), which looping h, then l, lists in
+    ascending order; the module docstring proves this from the index
+    layout.
 
     The partial table is built with no set sum.  Each element X gets the
     code c(X) = sum of 2^(w(v+m)) over its values v, with slot width
@@ -194,30 +216,22 @@ class WindowUniverse:
         elems = [neg + (0,) + pos for pos, _ in tails for neg, _ in heads]
         codes = [nc | zero | pc for _, pc in tails for _, nc in heads]
         self.elements = tuple(map(ZeroSet._from_sorted, elems))
-        self.index = {e: i for i, e in enumerate(elems)}
-        # the bounds alone decide whether a sum stays inside, so each bounds
-        # class has one ascending list of in-window partners, with their codes
-        by_bounds: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(elems):
-            by_bounds.setdefault((e[0], e[-1]), []).append(i)
-        partners = {}
-        for lo, hi in by_bounds:
-            js = sorted(j for (lo2, hi2), ks in by_bounds.items()
-                        if lo + lo2 >= -m and hi + hi2 <= m for j in ks)
-            partners[(lo, hi)] = js, [codes[j] for j in js]
+        # one int object per index, shared by every table that names it
+        ids = list(range(len(elems)))
+        self.index = dict(zip(elems, ids))
+        # the partners of a set with bounds (-s, t), ascending, read off the
+        # index bits (the module docstring proves the rule)
+        partners = {(s, t): [ids[h << m | l << s] for h in range(1 << m - t) for l in range(1 << m - s)]
+                    for s in range(m + 1) for t in range(m + 1)}
         # no slot of an in-window product carries (see the class docstring),
         # so its slots' top bits are the sum's code shifted up by shift bits
         ones = sum(1 << w * s for s in range(4 * m + 1))
         offset, keep = ones * ((1 << w - 1) - 1), ones << w - 1
         shift = w * m + w - 1
-        by_mark = {c << shift: k for k, c in enumerate(codes)}.__getitem__
-        pair_sums: dict[tuple[int, int], int] = {}
-        for i, e in enumerate(elems):
-            js, cs = partners[(e[0], e[-1])]
-            start = bisect_left(js, i)
-            marks = map(keep.__and__, map(offset.__add__, map(codes[i].__mul__, cs[start:])))
-            pair_sums.update(zip(zip(repeat(i), js[start:]), map(by_mark, marks)))
-        self.pair_sums = pair_sums
+        by_mark = {c << shift: k for k, c in zip(ids, codes)}
+        self.pair_sums = {(i, j): by_mark[keep & offset + ci * codes[j]]
+                          for i, e, ci in zip(ids, elems, codes)
+                          for j in partners[-e[0], e[-1]] if i <= j}
 
 
 # build_window(m) is WindowUniverse(m), under the name the package exported first

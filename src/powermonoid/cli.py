@@ -27,9 +27,10 @@ from .finset import MAX_SHORTHAND, FinSet, kfold, parse_set, sumset
 # count is always exact regardless
 MAPS_LIMIT = 64
 
-# verify lemma21 costs about 155 us a sample and lemma23 about 30 us (2-vCPU
-# Xeon, CPython 3.11.7): at the cap, lemma21 ran 8.0 s and lemma23 1.7 s.  A
-# count below 1 would check nothing and still report every check as passed.
+# verify lemma21 costs about 50 us a sample and lemma23 about 18 us (2-vCPU
+# Xeon, CPython 3.11.7): at the cap, lemma21 ran 2.3-3.9 s and lemma23
+# 0.85-0.9 s.  A count below 1 would check nothing and still report every
+# check as passed.
 SAMPLES_MAX = 50_000
 
 

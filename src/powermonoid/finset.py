@@ -14,14 +14,17 @@ pairwise sums, then a sort) and a runs route (the union of the interval
 sums of the operands' maximal runs).  Each is costed in units of one bit
 of a shift-or: the dense route by the span and the mask widths, the hashed
 route by the pairs, the runs route by the pairs of runs.  Runs are found
-by bisection, and only when the cheaper of the other two estimates is
-large enough to repay the count, which gives up past a fixed number of
-runs.  Every step of the dense route runs in linear time at C speed: the
-mask is encoded by flagging a ``bytearray`` and reading it with
-``int(..., 2)``, and decoded by compressing a ``range`` with the bytes of
-``bin(mask)``.  Results that are already sorted and distinct skip
-validation through a trusted constructor that range-checks only the two
-ends.
+by galloping and bisection, and only when the cheaper of the other two
+estimates is large enough to repay the count, which gives up as soon as
+the pairs of runs found so far price the runs route above that estimate.
+:func:`kfold` folds a set that is one run, [a, b], to [k*a, k*b] with no
+sum, since [a, b] + [c, d] = [a + c, b + d], and any other set by
+doubling.  Every step of the dense route runs
+in linear time at C speed: the mask is encoded by flagging a
+``bytearray`` and reading it with ``int(..., 2)``, and decoded by
+compressing a ``range`` with the bytes of ``bin(mask)``.  Results that
+are already sorted and distinct skip validation through a trusted
+constructor that range-checks only the two ends.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, zip_longest
 
 # Magnitude cap standing in for a native signed 64-bit width; results that
 # would leave the range raise OverflowError instead of wrapping.
@@ -50,18 +53,23 @@ _CODEC_BITS = 2048
 _LOOP_BITS = 8192
 _PAIR_BITS = 8192
 # The runs route costs _INTERVAL_BITS per interval sum, one for each pair of
-# runs.  Runs are counted only when the cheaper of the other two estimates
-# reaches _RUNS_MIN_BITS, about a span of 4096 for the dense route or 1024
-# pairs for the hashed one, and counting gives up past _RUN_LIMIT runs of
-# an operand.  That bounds the count at about _RUN_LIMIT * log2(n) probes,
-# a small share of either route wherever it is made, and the interval sums
-# held at _RUN_LIMIT**2.  Fitted like the constants above, to timings of
-# all three routes on 160 seeded pairs of unions of 1 to 64 runs of 1 to
-# 10^4 elements: the routes chosen took 1.2% more in total than the
-# fastest ones.
+# runs, so it wins just when r_x * r_y * _INTERVAL_BITS < min(dense, pairs).
+# Runs are counted only when that minimum reaches _RUNS_MIN_BITS, about a
+# span of 4096 for the dense route or 1024 pairs for the hashed one.  The
+# two operands are counted in lockstep, and the count gives up as soon as
+# the runs found so far break that bound.  So a count that fails has found
+# about 2 * sqrt(min(dense, pairs) / _INTERVAL_BITS) runs, and one that
+# succeeds at most one run per interval sum the route then makes; a run
+# costs about 2 * log2 of its length in probes.  Either way the count is a
+# small share of whichever route answers.  Fitted like the constants above,
+# to timings of all three routes on 160 seeded pairs of unions of 1 to 64
+# runs of 1 to 10^4 elements: the routes chosen took 1.2% more in total
+# than the fastest ones.  Checked again on 320 seeded pairs near the runs
+# route's crossover, of up to about 2000 runs an operand and 3.4e6 pairs of
+# runs: 3.1% more, against 2.6% for the best of the values from 2^13 to
+# 2^15 tried.
 _INTERVAL_BITS = 1 << 14
 _RUNS_MIN_BITS = 1 << 23
-_RUN_LIMIT = 64
 
 _INT_ONLY = {int}
 _ONE = ord("1")
@@ -178,6 +186,12 @@ def interval(lo: int, hi: int) -> FinSet:
             raise TypeError(f"interval ends must be integers, got {end!r}")
     if lo > hi:
         raise ValueError(f"empty interval [{lo},{hi}]")
+    # refuse before building, naming the element the ascending check would
+    if lo < -MAX_ELEMENT:
+        raise OverflowError(f"element {lo} outside the supported integer range")
+    if hi > MAX_ELEMENT:
+        first = max(lo, MAX_ELEMENT + 1)
+        raise OverflowError(f"element {first} outside the supported integer range")
     return FinSet._from_sorted(tuple(range(lo, hi + 1)))
 
 
@@ -243,29 +257,51 @@ def _shift_or(mask: int, width: int, offsets: tuple[int, ...]) -> int:
     return acc | part << (start - base)
 
 
-def _runs(elems: tuple[int, ...], limit: int) -> list[tuple[int, int]] | None:
-    """The maximal runs of elems as ascending (lo, hi) pairs; None past limit runs.
+def _iter_runs(elems: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The maximal runs of elems as ascending (lo, hi) pairs, found lazily.
 
     For distinct ascending ints elems[j] - elems[i] >= j - i, with equality
-    just when elems[i..j] is one run, so elems[j] - j is nondecreasing and
-    each run's end is found by bisecting on it: about log2(n) probes a run.
+    just when elems[i..j] is one run, so elems[j] - j is nondecreasing.  Each
+    run's end is found by galloping from its start, probing 1, 3, 7, ...
+    places on, then bisecting on that key in the last gap: about
+    2*log2(len) probes for a run of len elements, one for a lone element.
     """
-    out = []
     i, n = 0, len(elems)
     while i < n:
-        if len(out) == limit:
-            return None
         key = elems[i] - i
-        lo, hi = i, n
+        lo, step = i, 1
+        while lo + step < n and elems[lo + step] - (lo + step) == key:
+            lo += step
+            step <<= 1
+        hi = min(lo + step, n)
         while hi - lo > 1:
             mid = (lo + hi) >> 1
             if elems[mid] - mid == key:
                 lo = mid
             else:
                 hi = mid
-        out.append((elems[i], elems[lo]))
+        yield elems[i], elems[lo]
         i = lo + 1
-    return out
+
+
+def _runs(xs: tuple[int, ...], ys: tuple[int, ...],
+          limit: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
+    """The maximal runs of xs and of ys; None once there are limit pairs of runs.
+
+    The two are counted in lockstep, one run of each at a time, and the count
+    gives up as soon as the runs found so far make len(rx) * len(ry) >= limit
+    pairs.  So a count that fails stops after about 2*sqrt(limit) runs when
+    both operands have that many, not after every run of the longer one.
+    """
+    rx, ry = [], []
+    for run_x, run_y in zip_longest(_iter_runs(xs), _iter_runs(ys)):
+        if run_x:
+            rx.append(run_x)
+        if run_y:
+            ry.append(run_y)
+        if len(rx) * len(ry) >= limit:
+            return None
+    return rx, ry
 
 
 def _sum_of_runs(rx: list[tuple[int, int]], ry: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -302,7 +338,8 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     r_x * r_y, not with the elements or the span, so the sum of two
     intervals of 10**6 costs one interval and the output.  Runs are
     counted only when the other two routes are both estimated dear, and
-    the count gives up past a fixed number of runs; see the constants.
+    the count gives up as soon as the runs found so far make the runs
+    route dearer than the cheaper of them; see the constants.
     """
     xs, ys = x._elems, y._elems
     lo = xs[0] + ys[0]
@@ -315,10 +352,11 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     dense = _SETUP_BITS + span * _CODEC_BITS + ny * (wx + _LOOP_BITS)
     pairs = _PAIR_BITS * nx * ny
     if dense >= _RUNS_MIN_BITS and pairs >= _RUNS_MIN_BITS:
-        rx = _runs(xs, _RUN_LIMIT)
-        ry = rx and _runs(ys, _RUN_LIMIT)
-        if ry and len(rx) * len(ry) * _INTERVAL_BITS < min(dense, pairs):
-            return FinSet._from_sorted(_sum_of_runs(rx, ry))
+        # the runs route wins just when r_x * r_y * _INTERVAL_BITS < min(dense,
+        # pairs), that is when r_x * r_y is below this ceiling quotient
+        runs = _runs(xs, ys, -(-min(dense, pairs) // _INTERVAL_BITS))
+        if runs:
+            return FinSet._from_sorted(_sum_of_runs(*runs))
     if dense <= pairs:
         return _from_mask(_shift_or(_bit_mask(xs), wx, ys), lo)
     if nx < ny:
@@ -344,7 +382,9 @@ def kfold(x: FinSet, k: int) -> FinSet:
     fill their span but for bounded fringes at both ends (Nathanson, "Sums
     of finite sets of integers", 1972) and keep few runs: {0,2} folds as
     {0,1} does.  Only a fold wide enough for the runs route to answer its
-    doublings is rescaled; narrower folds are cheap on any route.
+    doublings is rescaled; narrower folds are cheap on any route.  A set
+    that is one run, as given or once rescaled, folds in one step with no
+    sum (see _fold).
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"fold count must be an integer, got {k!r}")
@@ -365,7 +405,16 @@ def kfold(x: FinSet, k: int) -> FinSet:
 
 
 def _fold(x: FinSet, k: int) -> FinSet:
-    """kfold by doubling: one sum per bit of k, and one more per set bit."""
+    """kfold with no rescale: one step for a run, doubling for any other set.
+
+    A run [a, b] folds to [k*a, k*b] with no sum at all: [a, b] + [c, d] is
+    [a + c, b + d], so by induction k-1 sums of [a, b] make [k*a, k*b], and
+    k = 0 gives {0} = [0, 0].  interval checks both ends before it builds,
+    so a fold that leaves the range allocates nothing.  Doubling takes one
+    sum per bit of k, and one more per set bit.
+    """
+    if len(x) == x.max - x.min + 1:
+        return interval(k * x.min, k * x.max)
     acc = FinSet((0,))
     base = x
     while k:

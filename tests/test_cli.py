@@ -157,6 +157,11 @@ def measure_peak(*argv):
      "942323bbfb94718f944b642295bda9222d2431a314d4161f6c97f8f7e9407c94", 2, 180),
     (("kfold", "{0,2}", "499999"), range(0, 1000000, 2),
      "e6fa537400036bf9212af7d5db57c01c856475a53f3183cba2fd25991548497a", 2, 120),
+    # folds of up to 99 and 999 runs, one at each multiple of 100 or 1000
+    (("kfold", "{0,1,100}", "9999"), None,
+     "3176b353e1439931f7caae23541c3508212a5563c65024e9a4f37cac57d52320", 2, 180),
+    (("kfold", "{0,1,1000}", "999"), None,
+     "b61de406e8f2db621088624f0cf2e9d34dcb4f1ee1232a9044be2bff798ba0fe", 2, 120),
     # the slowest sums under their cap: 2,000,000 pairs of 18-digit
     # elements on the hashed route, and an interval shifted once per
     # element of an 18,182-element literal on the dense route
@@ -164,13 +169,18 @@ def measure_peak(*argv):
      "160fec49c6dd088f1e186140d7c44c142dc78bc193adb4c0765627a74b71f6e1", 8, 400),
     (("sum", "0..999999", "{" + ",".join(map(str, range(0, 10**6, 55))) + "}"), range(1999955),
      "3a7de014c552fd2f39477e13bd6f19477aad4000c32dbeabd10c52362cca273d", 5, 350),
-], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02", "sum-hashed", "sum-dense"])
+], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02", "kfold-100", "kfold-1000",
+         "sum-hashed", "sum-dense"])
 def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # the widest operands the caps accept.  On a 2-vCPU host the dense route
-    # took 49.5, 15.7, 16.0 and 8.1 s over the first four; by runs, with
-    # {0,2} folded as {0,1}, they take 0.68-0.82, 0.44-0.48, 0.47-0.49 and
-    # 0.35-0.41 s and peak at 256, 129, 129 and 72 MB.  The last two take
-    # 2.7 s and 1.4-1.7 s and peak at 344 and 256 MB
+    # took 49.5, 15.7, 16.0 and 8.1 s over the first four.  By runs, with
+    # {0,1}, and {0,2} rescaled to it, folded in one step as one run, they
+    # take 0.68-0.82, 0.34-0.43, 0.41-0.48 and 0.24-0.29 s and peak at 256,
+    # 129, 129 and 72 MB.  The next two took 14.0-14.8 and 3.1-3.2 s while a
+    # fixed cap of 64 runs sent their folds to the dense route; counted as
+    # far as the cost model can use them, they take 0.43-0.60 and
+    # 0.39-0.44 s and peak at 128 and 79 MB.  The last two take 2.7 s and
+    # 1.4-1.7 s and peak at 344 and 256 MB
     stdout, elapsed, peak = measure_peak(*argv)
     if elems is not None:
         literal = "{" + ",".join(map(str, elems)) + "}"

@@ -92,6 +92,23 @@ def test_interval_and_bounds():
             interval(lo, hi)
 
 
+def test_interval_refuses_out_of_range_ends_before_building():
+    # named as the ascending per-element check names them, with no tuple of
+    # 2**63 elements built first
+    tracemalloc.start()
+    try:
+        for lo, hi, named in ((0, 2**63, MAX_ELEMENT + 1), (-(2**63), 0, -(2**63)),
+                              (2**63, 2**64, 2**63), (-(2**64), 2**64, -(2**64))):
+            with pytest.raises(OverflowError, match=f"^element {named} outside the supported integer range$"):
+                interval(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert interval(MAX_ELEMENT - 1, MAX_ELEMENT).elems == (MAX_ELEMENT - 1, MAX_ELEMENT)
+    assert interval(-MAX_ELEMENT, 1 - MAX_ELEMENT).elems == (-MAX_ELEMENT, 1 - MAX_ELEMENT)
+
+
 def test_sumset_worked_examples():
     x = make_set([-1, 0, 2])
     assert sumset(x, make_set([0, 1, 3])) == make_set([-1, 0, 1, 2, 3, 5])
@@ -204,12 +221,18 @@ def route(monkeypatch):
 
 
 def force(mp, route):
-    """Pin the cost model so that the named route answers every sum."""
+    """Pin the cost model so that the named route answers every sum.
+
+    At one bit an interval sum, runs are always counted and always cheaper
+    than the pairs, each of which costs more; at 2**128 bits, more than the
+    dense estimate of any sum in range, the count gives up on its first
+    pair of runs.
+    """
     if route == "runs":
-        for name, value in (("_RUNS_MIN_BITS", 0), ("_INTERVAL_BITS", 0), ("_RUN_LIMIT", 2**64)):
+        for name, value in (("_RUNS_MIN_BITS", 0), ("_INTERVAL_BITS", 1)):
             mp.setattr(finset, name, value)
     else:
-        mp.setattr(finset, "_RUN_LIMIT", 0)
+        mp.setattr(finset, "_INTERVAL_BITS", 2**128)
         mp.setattr(finset, "_PAIR_BITS", 2**64 if route == "dense" else 0)
 
 
@@ -352,7 +375,7 @@ def test_every_route_names_the_same_element_past_the_range(x, y):
 @pytest.mark.parametrize("lo, hi", [(0, 160_000), (-160_000, -7), (-(2**40), 5000 - 2**40)])
 def test_interval_round_trips_through_the_mask(monkeypatch, lo, hi):
     # the runs route would answer this sum; pinned off, it is a codec check
-    monkeypatch.setattr(finset, "_RUN_LIMIT", 0)
+    monkeypatch.setattr(finset, "_INTERVAL_BITS", 2**128)
     x = interval(lo, hi)
     s = RouteSpy(monkeypatch).sum(x, make_set([0]), "dense")
     assert s.elems == tuple(range(lo, hi + 1))
@@ -419,16 +442,100 @@ BASELINE_FOLDS = ["{0,1}", "{0,2}", "{0,3,7,11,20}", "{-5,0,1,9}", "{0,10,11,37,
 @pytest.mark.parametrize("literal", BASELINE_FOLDS)
 def test_kfold_agrees_with_the_runs_route_pinned_off(literal, monkeypatch):
     # up to k where the fold spans about 4 * 10**4, well past where the runs
-    # route starts answering the doublings
+    # route starts answering the doublings.  {0,1}, and {0,2} once rescaled,
+    # are one run and fold in one step; the multi-run literals double
     x = parse_set(literal)
     ks = [*range(9), 40_000 // (x.max - x.min)]
+    doubles = literal not in ("{0,1}", "{0,2}")
+    spy = RouteSpy(monkeypatch)
     folds = [kfold(x, k) for k in ks]
-    monkeypatch.setattr(finset, "_RUN_LIMIT", 0)
+    assert (spy.calls["runs"] > 0) == doubles
+    monkeypatch.setattr(finset, "_INTERVAL_BITS", 2**128)
+    spy.calls.update(dense=0, runs=0)
     assert folds == [kfold(x, k) for k in ks]
+    assert spy.calls["runs"] == 0
+    assert (spy.calls["dense"] > 0) == doubles
     expected = make_set([0])
     for k, fold in zip(ks, folds[:-1]):
         assert fold == expected, k
         expected = sumset_naive(expected, x)
+
+
+def test_one_run_folds_in_one_step(monkeypatch):
+    # negative, straddling and singleton intervals, and a progression that
+    # the rescale maps to one run, fold with no sum at all.  The interval of
+    # width 4096 is wide enough for the rescale's gcd, which is 1; the
+    # progression is rescaled from k = 2 on
+    def no_sum(x, y):
+        raise AssertionError(f"a one-run fold took the sum {x} + {y}")
+
+    cases = [(interval(-9, -4), range(9)), (interval(-3, 2), range(9)), (make_set([5]), range(9)),
+             (make_set([-7]), [10**5]), (interval(-4000, 96), [1]),
+             (make_set([-2000, -1000, 0, 1000]), range(2, 9))]
+    for x, ks in cases:
+        expected = make_set([0])
+        for k in range(max(ks) + 1):
+            if k in ks:
+                with monkeypatch.context() as mp:
+                    mp.setattr(finset, "sumset", no_sum)
+                    assert kfold(x, k) == expected, (x, k)
+            expected = sumset_naive(expected, x)
+    # the progression is no run itself: only the rescale makes it one
+    assert len(runs(cases[-1][0]).runs) == 4
+
+
+def test_one_run_fold_refuses_out_of_range_ends_before_building():
+    # the fold's own first element past the range, as the ascending check
+    # names it, raised without building any of the 2**63 elements
+    tracemalloc.start()
+    try:
+        for x, k, named in ((make_set([0, 1]), 2**63, MAX_ELEMENT + 1),
+                            (interval(-3, 5), 2**62, -3 * 2**62),
+                            (make_set([2**61]), 5, 5 * 2**61)):
+            with pytest.raises(OverflowError, match=f"^element {named} outside the supported integer range$"):
+                kfold(x, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def lone_runs(count, start):
+    """count runs of one element each, two apart."""
+    return tuple(range(start, start + 2 * count, 2))
+
+
+def test_run_count_is_exact_below_the_limit():
+    xs = (-9, -8, -7, -3, 0, 1, 5, 6, 7, 8, 40)
+    ys = (*range(100, 1100), 1200, *range(1300, 1302))
+    rx = [(-9, -7), (-3, -3), (0, 1), (5, 8), (40, 40)]
+    ry = [(100, 1099), (1200, 1200), (1300, 1301)]
+    assert finset._runs(xs, ys, 16) == (rx, ry)
+    assert finset._runs(ys, xs, 16) == (ry, rx)
+    # the first product that reaches the limit gives up, not the one after
+    assert finset._runs(xs, ys, 15) is None
+    assert finset._runs(lone_runs(3, 0), lone_runs(3, 1), 9) is None
+    assert finset._runs(lone_runs(3, 0), lone_runs(3, 1), 10)[0] == [(v, v) for v in range(0, 6, 2)]
+    # one long operand against a single run: every run of it is counted
+    assert len(finset._runs(lone_runs(10_000, 0), (0,), 10_001)[0]) == 10_000
+
+
+def test_failed_run_count_stops_near_the_square_root_of_the_limit(monkeypatch):
+    counted = 0
+    iter_runs = finset._iter_runs
+
+    def counting(elems):
+        nonlocal counted
+        for run in iter_runs(elems):
+            counted += 1
+            yield run
+
+    monkeypatch.setattr(finset, "_iter_runs", counting)
+    xs, ys = lone_runs(10_000, 0), lone_runs(10_000, 1)
+    for limit in (1, 2, 50, 10_000, 99_999_999):
+        counted = 0
+        assert finset._runs(xs, ys, limit) is None
+        assert counted <= 2 * limit ** 0.5 + 2, (limit, counted)
 
 
 def test_kfold_divides_out_the_gcd_and_scales_back():

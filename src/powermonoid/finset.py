@@ -385,22 +385,38 @@ def kfold(x: FinSet, k: int) -> FinSet:
     doublings is rescaled; narrower folds are cheap on any route.  A set
     that is one run, as given or once rescaled, folds in one step with no
     sum (see _fold).
+
+    The fold's ends are k*min x and k*max x.  The j-folds built on the way,
+    j <= k, have ends j*min x and j*max x, each between 0 and the fold's,
+    so they stay in range when the fold does, and a fold that leaves the
+    range is refused before any sum.  It names k*min x when that is out of
+    range.  Otherwise, for a progression, one run once d is divided out,
+    the fold is k*m + d*[0, k*(max x - m)/d], and it names the fold's least
+    element above the range, as the ascending check would.  For any other
+    set it names k*max x: the least fold element above the range would
+    need the fold itself.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"fold count must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("fold count must be nonnegative")
     m = x.min
-    if k * (x.max - m) * _CODEC_BITS >= _RUNS_MIN_BITS:
+    lo, hi = k * m, k * x.max
+    if not -MAX_ELEMENT <= lo <= MAX_ELEMENT:
+        raise OverflowError(f"element {lo} outside the supported integer range")
+    if hi > MAX_ELEMENT or (hi - lo) * _CODEC_BITS >= _RUNS_MIN_BITS:
         # imported here, so that a process that folds nothing this wide,
         # such as every `sum`, never loads math
         from math import gcd
 
         d = gcd(*map(m.__rsub__, x.elems))
+        if hi > MAX_ELEMENT:
+            # lo + d*ceil((MAX_ELEMENT + 1 - lo) / d) for a progression
+            past = lo - (lo - MAX_ELEMENT - 1) // d * d if x.max - m == d * (len(x) - 1) else hi
+            raise OverflowError(f"element {past} outside the supported integer range")
         if d > 1:
             y = FinSet._from_sorted(tuple([(v - m) // d for v in x.elems]))
-            t = k * m
-            return FinSet._from_sorted(tuple([t + d * v for v in _fold(y, k).elems]))
+            return FinSet._from_sorted(tuple([lo + d * v for v in _fold(y, k).elems]))
     return _fold(x, k)
 
 
@@ -409,9 +425,8 @@ def _fold(x: FinSet, k: int) -> FinSet:
 
     A run [a, b] folds to [k*a, k*b] with no sum at all: [a, b] + [c, d] is
     [a + c, b + d], so by induction k-1 sums of [a, b] make [k*a, k*b], and
-    k = 0 gives {0} = [0, 0].  interval checks both ends before it builds,
-    so a fold that leaves the range allocates nothing.  Doubling takes one
-    sum per bit of k, and one more per set bit.
+    k = 0 gives {0} = [0, 0].  Doubling takes one sum per bit of k, and one
+    more per set bit.
     """
     if len(x) == x.max - x.min + 1:
         return interval(k * x.min, k * x.max)

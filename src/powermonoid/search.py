@@ -516,28 +516,37 @@ def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
     Backtracks over image tables in index order, images ascending, so the
     tables come out sorted.  Each in-window pair (i, j) -> k is checked as
     soon as it can be: (t_i, t_j) must be an in-window pair once i and j
-    have images, with sum t_k once k has one too.  Reads only the element
-    count and the partial table, and calls nothing else of this module.
-    Windows above :data:`ORACLE_MAX_WINDOW` are refused.
+    have images, with sum t_k once k has one too.  Whether a self-pair
+    (i, i) goes to an in-window (t_i, t_i) depends on t_i alone, so it is
+    decided once per element, as the list of candidates for t_i: the t with
+    (t, t) in the table when (i, i) is, every t otherwise.  Reads only the
+    element count and the partial table, and calls nothing else of this
+    module.  Windows above :data:`ORACLE_MAX_WINDOW` are refused.
     """
     if u.m > ORACLE_MAX_WINDOW:
         raise ValueError(f"oracle enumeration is only feasible for m <= {ORACLE_MAX_WINDOW}")
     n = len(u.elements)
     pair_sums = u.pair_sums
-    # checks[x]: the pairs (a <= b) -> k to test once x has an image, k None while t_k is unknown
+    doubles = [t for t in range(n) if (t, t) in pair_sums]
+    candidates = [doubles if (i, i) in pair_sums else range(n) for i in range(n)]
+    # checks[x]: the pairs (a <= b) -> k to test once x has an image, k None
+    # while t_k is unknown; a self-pair's bare membership test is left to
+    # candidates
     checks: list[list[tuple[int, int, int | None]]] = [[] for _ in range(n)]
     for (a, b), k in pair_sums.items():
-        checks[b].append((a, b, k if k <= b else None))
+        if k <= b or a < b:
+            checks[b].append((a, b, k if k <= b else None))
         if k > b:
             checks[k].append((a, b, k))
     table = [0] * n
     used = [False] * n
+    found: list[tuple[int, ...]] = []
 
-    def extend(i: int):
+    def extend(i: int) -> None:
         if i == n:
-            yield tuple(table)
+            found.append(tuple(table))
             return
-        for t in range(n):
+        for t in candidates[i]:
             if used[t]:
                 continue
             table[i] = t
@@ -548,7 +557,8 @@ def window_survivors_oracle(u: WindowUniverse) -> list[tuple[int, ...]]:
                     break
             else:
                 used[t] = True
-                yield from extend(i + 1)
+                extend(i + 1)
                 used[t] = False
 
-    return list(extend(0))
+    extend(0)
+    return found

@@ -404,6 +404,10 @@ FROZEN = [
     (("sum", "{-1,0,2}", "bad"), 2, "",
      "error: expected a set literal or LO..HI interval, got 'bad'\n"),
     (("apply", "rotation", "{0,1}"), 2, "", "error: unknown automorphism name: 'rotation'\n"),
+    # the 5-fold's own least element past the range, 5 * 2**61, not an
+    # element of a fold built on the way
+    (("kfold", "{2305843009213693952,2305843009213693954}", "5"), 2, "",
+     "error: element 11529215046068469760 outside the supported integer range\n"),
 ]
 
 # one validator per output shape: the schema narrowed to one of its kinds

@@ -486,12 +486,16 @@ def test_one_run_folds_in_one_step(monkeypatch):
 
 def test_one_run_fold_refuses_out_of_range_ends_before_building():
     # the fold's own first element past the range, as the ascending check
-    # names it, raised without building any of the 2**63 elements
+    # names it, raised without building any of the 2**63 elements.  A fold
+    # of several runs is refused before its first doubling too, naming
+    # k*min x when that is out of range and k*max x otherwise
     tracemalloc.start()
     try:
         for x, k, named in ((make_set([0, 1]), 2**63, MAX_ELEMENT + 1),
                             (interval(-3, 5), 2**62, -3 * 2**62),
-                            (make_set([2**61]), 5, 5 * 2**61)):
+                            (make_set([2**61]), 5, 5 * 2**61),
+                            (make_set([0, 1, 3]), 2**62, 3 * 2**62),
+                            (make_set([2**61, 2**61 + 2]), 5, 5 * 2**61)):
             with pytest.raises(OverflowError, match=f"^element {named} outside the supported integer range$"):
                 kfold(x, k)
         peak = tracemalloc.get_traced_memory()[1]

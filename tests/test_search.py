@@ -712,11 +712,18 @@ def test_verifiers_match_naive_on_random_partial_tables():
     rng = random.Random(20261018)
     n = 6
     perms = list(itertools.permutations(range(n)))
-    for table in _random_partial_tables(rng, n, 40):
+    # the oracle's candidates for t_i depend on whether (i, i) is a pair:
+    # every self-pair, whose survivors are the n rotations, and exactly one,
+    # which fixes 2 and 3 and leaves 0 and 1 free to swap
+    rotating = {(i, i): (i + 1) % n for i in range(n)}
+    one_double = {(2, 2): 3, (0, 1): 4}
+    for table in _random_partial_tables(rng, n, 40) + [rotating, one_double]:
         u = _stand_in_universe(n, table)
         verdicts = {t: _naive_verify(table, t) for t in perms}
         assert {t: verify_window_map(u, t) for t in perms} == verdicts
         assert window_survivors_oracle(u) == [t for t in perms if verdicts[t]]
+    counts = [len(window_survivors_oracle(_stand_in_universe(n, t))) for t in (rotating, one_double)]
+    assert counts == [n, 2]
 
 
 def test_coset_check_matches_naive_on_random_partial_tables():

@@ -4,13 +4,14 @@ Every subcommand emits a single JSON document on stdout (the default) or a
 bare human-readable rendering under ``--output plain``.  Each ``_cmd_*``
 returns its JSON payload, its plain lines and its exit code, and
 :func:`main` is the one renderer: it alone reads ``--output`` and writes
-stdout.  Output is byte-identical for identical argv and seed: no timings,
-no timestamps, and insertion-ordered keys throughout.  Exit codes: 0 for
-success or an all-pass verification, 1 when a verification reports a
-failure, 2 for usage and parse errors, which every command raises as
-``ValueError`` before any output.  A reader that closes stdout early
-changes none of these: the rest of the output goes to ``os.devnull``, with
-no traceback.
+stdout.  The plain lines are an iterator, rendered only when they are
+printed, so a JSON run never builds them.  Output is byte-identical for
+identical argv and seed: no timings, no timestamps, and insertion-ordered
+keys throughout.  Exit codes: 0 for success or an all-pass verification, 1
+when a verification reports a failure, 2 for usage and parse errors, which
+every command raises as ``ValueError`` before any output.  A reader that
+closes stdout early changes none of these: the rest of the output goes to
+``os.devnull``, with no traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from itertools import chain
 
 # every command parses sets; each imports the rest of the library it runs
 # inside the function that runs it, so a process loads only those modules
@@ -43,9 +46,9 @@ def _plain(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _key_lines(payload: dict, keys) -> list[str]:
+def _key_lines(payload: dict, keys) -> Iterator[str]:
     """``key: value`` lines for those of keys present in payload, in order."""
-    return [f"{key}: {_plain(payload[key])}" for key in keys if key in payload]
+    return (f"{key}: {_plain(payload[key])}" for key in keys if key in payload)
 
 
 def _parse_auto(token: str):
@@ -116,12 +119,12 @@ _RESULTS = {
 }
 
 
-def _cmd_result(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_result(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
     result = _RESULTS[args.command](args)
-    return {"op": args.command, "result": result}, [_plain(result)], 0
+    return {"op": args.command, "result": result}, map(_plain, (result,)), 0
 
 
-def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_factor(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
     from .monoid import UNIT, as_zero_set, factorizations
 
     x = as_zero_set(parse_set(args.x))
@@ -134,10 +137,11 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     pairs = [[literal(y), literal(z)] for y, z in factorizations(x)]
     # a non-unit is an atom iff it has no nontrivial factorization
     payload = {"set": str(x), "atom": x != UNIT and not pairs, "factorizations": pairs}
-    return payload, _key_lines(payload, ("set", "atom")) + [f"{y} + {z}" for y, z in pairs], 0
+    lines = chain(_key_lines(payload, ("set", "atom")), (f"{y} + {z}" for y, z in pairs))
+    return payload, lines, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
     # only the random suites read --samples
     if args.lemma in ("lemma21", "lemma23") and not 1 <= args.samples <= SAMPLES_MAX:
         raise ValueError(f"--samples must be between 1 and {SAMPLES_MAX}")
@@ -158,11 +162,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             {"name": c.name, "pass": c.passed, "witness": c.witness} for c in checks
         ],
     }
-    lines = [f"{c.name}: {'pass' if c.passed else 'FAIL'}" for c in checks]
+    lines = (f"{c.name}: {'pass' if c.passed else 'FAIL'}" for c in checks)
     return payload, lines, 0 if all(c.passed for c in checks) else 1
 
 
-def _verify_theorem(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _verify_theorem(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
     if args.A is None or args.B is None:
         raise ValueError("verify theorem requires --A and --B")
     from .monoid import as_zero_set
@@ -211,7 +215,7 @@ def _verify_theorem(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     return payload, _key_lines(payload, payload), 0 if ok else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_search(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
     from .search import (
         LIST_MAX_WINDOW,
         MAX_WINDOW,

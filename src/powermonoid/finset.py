@@ -17,9 +17,9 @@ route by the pairs, the runs route by the pairs of runs.  Runs are found
 by galloping and bisection, and only when the cheaper of the other two
 estimates is large enough to repay the count, which gives up as soon as
 the pairs of runs found so far price the runs route above that estimate.
-:func:`kfold` folds a set that is one run, [a, b], to [k*a, k*b] with no
-sum, since [a, b] + [c, d] = [a + c, b + d], and any other set by
-doubling.  Every step of the dense route runs
+:func:`kfold` folds an arithmetic progression m + d*[0, L] to
+k*m + d*[0, k*L] with no sum, and any other set by doubling, once it is
+divided by the gcd d of x - min x.  Every step of the dense route runs
 in linear time at C speed: the mask is encoded by flagging a
 ``bytearray`` and reading it with ``int(..., 2)``, and decoded by
 compressing a ``range`` with the bytes of ``bin(mask)``.  Results that
@@ -179,20 +179,35 @@ def make_set(values: Iterable[int]) -> FinSet:
 def interval(lo: int, hi: int) -> FinSet:
     """The discrete interval {lo, lo+1, ..., hi}; lo > hi is an error.
 
-    Both ends must be ints, not bools: anything else raises TypeError.
+    Both ends must be ints, not bools: anything else raises TypeError.  An
+    interval that leaves the range is refused before it is built, by the
+    rule of _progression with d = 1: it names lo when lo is out of range,
+    and MAX_ELEMENT + 1 otherwise.
     """
     for end in (lo, hi):
         if isinstance(end, bool) or not isinstance(end, int):
             raise TypeError(f"interval ends must be integers, got {end!r}")
     if lo > hi:
         raise ValueError(f"empty interval [{lo},{hi}]")
-    # refuse before building, naming the element the ascending check would
-    if lo < -MAX_ELEMENT:
-        raise OverflowError(f"element {lo} outside the supported integer range")
-    if hi > MAX_ELEMENT:
-        first = max(lo, MAX_ELEMENT + 1)
-        raise OverflowError(f"element {first} outside the supported integer range")
-    return FinSet._from_sorted(tuple(range(lo, hi + 1)))
+    return _progression(lo, hi, 1)
+
+
+def _progression(lo: int, hi: int, d: int) -> FinSet:
+    """The progression {lo, lo+d, ..., hi}, for lo <= hi and d >= 1 dividing hi - lo.
+
+    One that leaves the range is refused before it is built, naming the
+    element the ascending check would, its least one out of range.  That
+    is lo when lo is out of range: below it, lo is the least element, and
+    above it, every element is.  Otherwise no element lies below the
+    range, and one lies above it just when hi > MAX_ELEMENT.  The least
+    such is lo + d*j for the least j with lo + d*j >= MAX_ELEMENT + 1,
+    which is j = ceil((MAX_ELEMENT + 1 - lo) / d), and it is an element,
+    since j <= (hi - lo) / d.
+    """
+    if lo < -MAX_ELEMENT or hi > MAX_ELEMENT:
+        past = lo if abs(lo) > MAX_ELEMENT else lo - (lo - MAX_ELEMENT - 1) // d * d
+        raise OverflowError(f"element {past} outside the supported integer range")
+    return FinSet._from_sorted(tuple(range(lo, hi + 1, d)))
 
 
 def bounds(x: FinSet) -> tuple[int, int]:
@@ -372,72 +387,75 @@ def kfold(x: FinSet, k: int) -> FinSet:
 
     k must be an int, not a bool: anything else raises TypeError.
 
-    Folds by doubling, after dividing out d, the gcd of x - min x.  With
-    m = min x and d > 0, x is the image of y = (x - m) / d under
-    v -> m + d*v, and a sum of k elements of x is
-    (m + d*a_1) + ... + (m + d*a_k) = k*m + d*(a_1 + ... + a_k), the image
-    of a sum of k elements of y under v -> k*m + d*v.  So
-    kfold(x, k) = k*m + d*kfold(y, k), elementwise, at every k >= 0, and the
-    map is increasing, so it keeps the order.  y has gcd 1, so its folds
-    fill their span but for bounded fringes at both ends (Nathanson, "Sums
-    of finite sets of integers", 1972) and keep few runs: {0,2} folds as
-    {0,1} does.  Only a fold wide enough for the runs route to answer its
-    doublings is rescaled; narrower folds are cheap on any route.  A set
-    that is one run, as given or once rescaled, folds in one step with no
-    sum (see _fold).
+    Let m = min x and d the gcd of x - m, with d = 0 for a singleton.  The
+    len(x) elements of x - m are distinct multiples of d in [0, max x - m],
+    so x is the arithmetic progression m + d*[0, L], L = (max x - m) / d,
+    just when max x - m = d*(len(x) - 1); a singleton is one with L = 0.
+    The fold takes one of three cases.
 
-    The fold's ends are k*min x and k*max x.  The j-folds built on the way,
-    j <= k, have ends j*min x and j*max x, each between 0 and the fold's,
-    so they stay in range when the fold does, and a fold that leaves the
-    range is refused before any sum.  It names k*min x when that is out of
-    range.  Otherwise, for a progression, one run once d is divided out,
-    the fold is k*m + d*[0, k*(max x - m)/d], and it names the fold's least
-    element above the range, as the ascending check would.  For any other
-    set it names k*max x: the least fold element above the range would
-    need the fold itself.
+    1. k = 0, where the fold is {0}, or x is a progression, where it is
+       k*m + d*[0, k*L]: either is built with no sum, from k*min x to
+       k*max x in steps of d, and _progression refuses it before building
+       it when it leaves the range.  The closed form holds by induction on
+       k: the 0-fold is {0} = 0 + d*[0, 0], and
+       (j*m + d*[0, j*L]) + (m + d*[0, L]) = (j+1)*m + d*[0, (j+1)*L],
+       since [0, a] + [0, b] = [0, a + b].
+    2. Any other set with d > 1 is divided by d.  x is the image of
+       y = (x - m) / d under v -> m + d*v, and a sum of k elements of x is
+       (m + d*a_1) + ... + (m + d*a_k) = k*m + d*(a_1 + ... + a_k), the
+       image of a sum of k elements of y under v -> k*m + d*v.  So
+       kfold(x, k) = k*m + d*kfold(y, k), elementwise, and the map is
+       increasing, so it keeps the order.  y has gcd 1, so its folds fill
+       their span but for bounded fringes at both ends (Nathanson, "Sums
+       of finite sets of integers", 1972) and keep few runs.
+    3. Any other set with d = 1 folds by doubling (see _fold).
+
+    In cases 2 and 3 the fold's ends are k*min x and k*max x.  The j-folds
+    built on the way, j <= k, have ends j*min x and j*max x, each between
+    0 and the fold's, so they stay in range when the fold does, and a fold
+    that leaves the range is refused before any sum.  It names k*min x
+    when that is out of range, and k*max x otherwise: the least fold
+    element above the range would need the fold itself.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"fold count must be an integer, got {k!r}")
     if k < 0:
         raise ValueError("fold count must be nonnegative")
+    # imported here, so that a process that folds nothing, such as every
+    # `sum`, never loads math
+    from math import gcd
+
     m = x.min
     lo, hi = k * m, k * x.max
-    if not -MAX_ELEMENT <= lo <= MAX_ELEMENT:
-        raise OverflowError(f"element {lo} outside the supported integer range")
-    if hi > MAX_ELEMENT or (hi - lo) * _CODEC_BITS >= _RUNS_MIN_BITS:
-        # imported here, so that a process that folds nothing this wide,
-        # such as every `sum`, never loads math
-        from math import gcd
-
-        d = gcd(*map(m.__rsub__, x.elems))
-        if hi > MAX_ELEMENT:
-            # lo + d*ceil((MAX_ELEMENT + 1 - lo) / d) for a progression
-            past = lo - (lo - MAX_ELEMENT - 1) // d * d if x.max - m == d * (len(x) - 1) else hi
-            raise OverflowError(f"element {past} outside the supported integer range")
-        if d > 1:
-            y = FinSet._from_sorted(tuple([(v - m) // d for v in x.elems]))
-            return FinSet._from_sorted(tuple([lo + d * v for v in _fold(y, k).elems]))
-    return _fold(x, k)
+    d = gcd(*map(m.__rsub__, x.elems))
+    if not k or x.max - m == d * (len(x) - 1):
+        return _progression(lo, hi, d or 1)
+    if lo < -MAX_ELEMENT or hi > MAX_ELEMENT:
+        past = lo if abs(lo) > MAX_ELEMENT else hi
+        raise OverflowError(f"element {past} outside the supported integer range")
+    if d == 1:
+        return _fold(x, k)
+    y = FinSet._from_sorted(tuple([(v - m) // d for v in x.elems]))
+    return FinSet._from_sorted(tuple([lo + d * v for v in _fold(y, k).elems]))
 
 
 def _fold(x: FinSet, k: int) -> FinSet:
-    """kfold with no rescale: one step for a run, doubling for any other set.
+    """kfold by doubling, for k >= 1.
 
-    A run [a, b] folds to [k*a, k*b] with no sum at all: [a, b] + [c, d] is
-    [a + c, b + d], so by induction k-1 sums of [a, b] make [k*a, k*b], and
-    k = 0 gives {0} = [0, 0].  Doubling takes one sum per bit of k, and one
-    more per set bit.
+    With k = 2**a * (odd) and x_i the 2**i-fold, x_(i+1) = x_i + x_i.  The
+    fold starts at x_a, the lowest set bit of k, and adds x_i for each
+    higher set bit i.  It needs x_0 .. x_(b-1), with b = k.bit_length(),
+    so it makes b - 1 doublings and k.bit_count() - 1 of those additions,
+    and no sum against {0}.
     """
-    if len(x) == x.max - x.min + 1:
-        return interval(k * x.min, k * x.max)
-    acc = FinSet((0,))
-    base = x
-    while k:
-        if k & 1:
-            acc = sumset(acc, base)
+    while not k & 1:
+        x = sumset(x, x)
         k >>= 1
-        if k:
-            base = sumset(base, base)
+    acc = x
+    while k := k >> 1:
+        x = sumset(x, x)
+        if k & 1:
+            acc = sumset(acc, x)
     return acc
 
 

@@ -442,8 +442,8 @@ BASELINE_FOLDS = ["{0,1}", "{0,2}", "{0,3,7,11,20}", "{-5,0,1,9}", "{0,10,11,37,
 @pytest.mark.parametrize("literal", BASELINE_FOLDS)
 def test_kfold_agrees_with_the_runs_route_pinned_off(literal, monkeypatch):
     # up to k where the fold spans about 4 * 10**4, well past where the runs
-    # route starts answering the doublings.  {0,1}, and {0,2} once rescaled,
-    # are one run and fold in one step; the multi-run literals double
+    # route starts answering the doublings.  {0,1} and {0,2} are
+    # progressions and fold in one step; the other literals double
     x = parse_set(literal)
     ks = [*range(9), 40_000 // (x.max - x.min)]
     doubles = literal not in ("{0,1}", "{0,2}")
@@ -462,16 +462,16 @@ def test_kfold_agrees_with_the_runs_route_pinned_off(literal, monkeypatch):
 
 
 def test_one_run_folds_in_one_step(monkeypatch):
-    # negative, straddling and singleton intervals, and a progression that
-    # the rescale maps to one run, fold with no sum at all.  The interval of
-    # width 4096 is wide enough for the rescale's gcd, which is 1; the
-    # progression is rescaled from k = 2 on
+    # negative, straddling and singleton intervals, and progressions of
+    # every step, narrow or wide, fold with no sum at all: each is
+    # k*min x + d*[0, k*L] in closed form, whatever its width
     def no_sum(x, y):
-        raise AssertionError(f"a one-run fold took the sum {x} + {y}")
+        raise AssertionError(f"a progression's fold took the sum {x} + {y}")
 
     cases = [(interval(-9, -4), range(9)), (interval(-3, 2), range(9)), (make_set([5]), range(9)),
              (make_set([-7]), [10**5]), (interval(-4000, 96), [1]),
-             (make_set([-2000, -1000, 0, 1000]), range(2, 9))]
+             (make_set([0, 2]), range(9)), (make_set([-4, 0, 4, 8]), range(9)),
+             (make_set([-9, -6]), range(9)), (make_set([-2000, -1000, 0, 1000]), range(2, 9))]
     for x, ks in cases:
         expected = make_set([0])
         for k in range(max(ks) + 1):
@@ -480,8 +480,29 @@ def test_one_run_folds_in_one_step(monkeypatch):
                     mp.setattr(finset, "sumset", no_sum)
                     assert kfold(x, k) == expected, (x, k)
             expected = sumset_naive(expected, x)
-    # the progression is no run itself: only the rescale makes it one
+    # the progression of step 1000 is no run: its fold needs no rescale
     assert len(runs(cases[-1][0]).runs) == 4
+
+
+@pytest.mark.parametrize("literal", ["{0,1,3}", "{-5,0,1,9}"])
+def test_doubling_makes_one_sum_per_bit_and_one_per_further_set_bit(literal, monkeypatch):
+    # k.bit_length() - 1 doublings and k.bit_count() - 1 additions, starting
+    # from the lowest set bit of k, with no sum against {0}
+    x = parse_set(literal)
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return sumset(a, b)
+
+    monkeypatch.setattr(finset, "sumset", counting)
+    expected = make_set([0])
+    for k in range(1, 41):
+        expected = sumset_naive(expected, x)
+        calls = 0
+        assert kfold(x, k) == expected, k
+        assert calls == (k.bit_length() - 1) + (k.bit_count() - 1), k
 
 
 def test_one_run_fold_refuses_out_of_range_ends_before_building():
@@ -543,8 +564,9 @@ def test_failed_run_count_stops_near_the_square_root_of_the_limit(monkeypatch):
 
 
 def test_kfold_divides_out_the_gcd_and_scales_back():
-    # d > 1 with negative and positive minima, and singletons, where d = 0;
-    # each set is wide enough that every fold from k = 1 on is rescaled
+    # d > 1 with negative and positive minima, and singletons, where d = 0.
+    # Every fold from k = 1 on of a set that is no progression is rescaled,
+    # narrow or wide; the progressions among these fold in closed form
     for values in ([3], [-4], [0], [0, 2], [-6, -2, 4], [-9, -3, 6, 12], [5, 15, 35], [-7, -1]):
         x = make_set([1000 * v for v in values])
         expected = make_set([0])

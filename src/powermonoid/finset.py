@@ -8,23 +8,31 @@ kept side by side on purpose: :func:`sumset` is the fast path used
 everywhere, :func:`sumset_naive` is the pairwise reference oracle the test
 suite checks it against, and ``sumset`` never calls it.
 
-``sumset`` chooses per call, by estimated work, between three routes: a
-dense route (a shift-or over a bigint mask), a hashed route (a set of
-pairwise sums, then a sort) and a runs route (the union of the interval
-sums of the operands' maximal runs).  Each is costed in units of one bit
-of a shift-or: the dense route by the span and the mask widths, the hashed
-route by the pairs, the runs route by the pairs of runs.  Runs are found
-by galloping and bisection, and only when the cheaper of the other two
-estimates is large enough to repay the count, which gives up as soon as
-the pairs of runs found so far price the runs route above that estimate.
+``sumset`` chooses per call, by estimated work, between four routes: a
+dense route (a shift-or over a bigint mask), a Decimal route (one product
+of the operands packed into decimal digits, by Kronecker substitution), a
+hashed route (a set of pairwise sums, then a sort) and a runs route (the
+union of the interval sums of the operands' maximal runs).  Each is costed
+in units of one bit of a shift-or: the dense route by the span and the
+mask widths, the Decimal route by the span and the digits a slot, the
+hashed route by the pairs, the runs route by the pairs of runs.  The
+shift-or gathers its copies in blocks of a quarter of the mask's width,
+or of 1024 bits for narrower masks, so each copy of a wide mask touches a
+partial of at most 1.25 widths.  The Decimal route is taken only where
+the C ``decimal`` module is there, and the ``sumset`` docstring proves
+that no slot of its product carries.  Runs are found by galloping and
+bisection, and only when the cheapest of the other estimates is large
+enough to repay the count, which gives up as soon as the pairs of runs
+found so far price the runs route above that estimate.
 :func:`kfold` folds an arithmetic progression m + d*[0, L] to
 k*m + d*[0, k*L] with no sum, and any other set by doubling, once it is
-divided by the gcd d of x - min x.  Every step of the dense route runs
-in linear time at C speed: the mask is encoded by flagging a
-``bytearray`` and reading it with ``int(..., 2)``, and decoded by
-compressing a ``range`` with the bytes of ``bin(mask)``.  Results that
-are already sorted and distinct skip validation through a trusted
-constructor that range-checks only the two ends.
+divided by the gcd d of x - min x.  The codecs of the dense and Decimal
+routes run in linear time at C speed: an operand is encoded by flagging a
+``bytearray``, read with ``int(..., 2)`` as a mask or spread to one flag a
+slot for ``Decimal``, and a sum is decoded by compressing a ``range`` with
+the bytes of ``bin(mask)``, or with every k-th digit of ``str()``.
+Results that are already sorted and distinct skip validation through a
+trusted constructor that range-checks only the two ends.
 """
 
 from __future__ import annotations
@@ -70,10 +78,24 @@ _PAIR_BITS = 8192
 # 2^15 tried.
 _INTERVAL_BITS = 1 << 14
 _RUNS_MIN_BITS = 1 << 23
+# The Decimal route costs what the dense route does but for the shifted
+# copies, and in their place a second _SETUP_BITS and _DIGIT_BITS per
+# decimal digit of its product, k digits for each integer of the sum's
+# span.  Fitted to timings of both routes on 72 seeded pairs of 50 to 64000
+# elements at densities 1/64 to 1/1.1: the routes chosen took 0.2% more in
+# total than the faster ones, the worst pair 9% more; on 72 more pairs of
+# another seed, 0.1% more.  The second setup is the route's measured fixed
+# cost, 5-6 us above the shift-or's on sums of 3 to 30 elements, at about
+# 10 ps a bit.
+_DIGIT_BITS = 1792
+# _shift_or gathers copies in blocks of a quarter of the mask's width, but
+# never less than _BLOCK_BITS.
+_BLOCK_BITS = 1 << 10
 
 _INT_ONLY = {int}
 _ONE = ord("1")
-_BITS_TO_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# a digit of a mask's bin() or of a Decimal's str() to its flag: 0 or not
+_NONZERO = bytes.maketrans(b"0123456789", b"\0" + b"\1" * 9)
 
 
 class FinSet:
@@ -239,37 +261,80 @@ def sumset_naive(x: FinSet, y: FinSet) -> FinSet:
     return FinSet({a + b for a in x for b in y})
 
 
-def _bit_mask(elems: tuple[int, ...]) -> int:
-    # bit i set  <=>  elems[0] + i in elems
+def _flags(elems: tuple[int, ...]) -> bytearray:
+    # one b"1" or b"0" per integer from elems[-1] down to elems[0], the
+    # highest first: the binary digits of the mask, bit i for elems[0] + i
     base = elems[0]
     flags = bytearray(b"0") * (elems[-1] - base + 1)
     deque(map(flags.__setitem__, map(base.__rsub__, elems), repeat(_ONE)), 0)
     flags.reverse()
-    return int(flags, 2)
+    return flags
 
 
-def _from_mask(mask: int, base: int) -> FinSet:
-    flags = bin(mask)[:1:-1].encode().translate(_BITS_TO_FLAGS)
+def _from_flags(flags: bytes, base: int) -> FinSet:
+    # flags[i] is nonzero  <=>  base + i is an element
     return FinSet._from_sorted(tuple(compress(range(base, base + len(flags)), flags)))
 
 
 def _shift_or(mask: int, width: int, offsets: tuple[int, ...]) -> int:
     """OR of mask << (d - offsets[0]) over the ascending offsets d.
 
-    mask is width bits wide.  Copies whose shifts lie within one width of
-    each other are gathered into a partial result at most twice that wide,
-    and each partial is shifted into the accumulator once, so the
-    accumulator is touched once per block instead of once per offset.
+    mask is width bits wide.  Copies whose shifts lie within one block of
+    each other are gathered into a partial result, and each partial is
+    shifted into the accumulator once, so the accumulator is touched once
+    per block instead of once per offset.  A block is a quarter of the
+    width, but never less than _BLOCK_BITS.  So each copy of a mask at
+    least 4 * _BLOCK_BITS wide touches a partial at most 1.25 widths wide,
+    where blocks of a whole width would let it reach two, and a sum whose
+    offsets span less than _BLOCK_BITS keeps one partial.
     """
+    block = max(width >> 2, _BLOCK_BITS)
     acc = part = 0
     start = base = offsets[0]
     for d in offsets:
-        if d - start >= width:
+        if d - start >= block:
             acc |= part << (start - base)
             part = 0
             start = d
         part |= mask << (d - start)
     return acc | part << (start - base)
+
+
+def _slot_digits(m: int) -> int:
+    """The least k with 9 * 10**(k-1) >= m: the digits a slot needs in _slot_sum."""
+    k = 1
+    while 9 * 10 ** (k - 1) < m:
+        k += 1
+    return k
+
+
+def _slot_sum(xs: tuple[int, ...], ys: tuple[int, ...], k: int) -> bytes | None:
+    """The flags of xs + ys from one Decimal product, k digits a slot.
+
+    Byte i is nonzero just when xs[0] + ys[0] + i is a sum; sumset proves
+    it for k = _slot_digits(min(len(xs), len(ys))).  Returns None, and the
+    caller shifts and ORs instead, when _decimal, the C accelerator that
+    decimal re-exports, is missing: the pure-Python fallback multiplies in
+    quadratic time.  _decimal is imported here, so a process that makes no
+    such sum never loads it.
+    """
+    try:
+        from _decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+    except ImportError:
+        return None
+
+    def packed(elems):
+        # each mask digit becomes the last of a slot of k zeros
+        flags = _flags(elems)
+        digits = bytearray(b"0") * (len(flags) * k)
+        digits[k - 1::k] = flags
+        return Decimal(digits.decode())
+
+    span = xs[-1] + ys[-1] - xs[0] - ys[0] + 1
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    product = exact.multiply(packed(xs), packed(ys))
+    lifted = exact.add(product, Decimal(("0" + "9" * (k - 1)) * span))
+    return str(lifted)[-k::-k].encode().translate(_NONZERO)
 
 
 def _iter_runs(elems: tuple[int, ...]) -> Iterator[tuple[int, int]]:
@@ -339,7 +404,7 @@ def _sum_of_runs(rx: list[tuple[int, int]], ry: list[tuple[int, int]]) -> tuple[
 
 
 def sumset(x: FinSet, y: FinSet) -> FinSet:
-    """Minkowski sum x + y, by whichever of three routes costs least.
+    """Minkowski sum x + y, by whichever of four routes costs least.
 
     The dense route holds one operand as a bit vector anchored at its
     minimum; the sum is the union of one shifted copy per element of the
@@ -352,9 +417,37 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     the r_x * r_y interval sums, one per pair of runs; its cost grows with
     r_x * r_y, not with the elements or the span, so the sum of two
     intervals of 10**6 costs one interval and the output.  Runs are
-    counted only when the other two routes are both estimated dear, and
-    the count gives up as soon as the runs found so far make the runs
-    route dearer than the cheaper of them; see the constants.
+    counted only when the other routes are all estimated dear, and the
+    count gives up as soon as the runs found so far make the runs route
+    dearer than the cheapest of them; see the constants.
+
+    The Decimal route replaces the dense route's shifted copies with one
+    multiplication, by Kronecker substitution.  Let P_x(t) be the sum of
+    t**(a - min x) over a in x.  The coefficient of t**i in P_x * P_y is
+    r_i, the number of pairs (a, b) with a + b = min x + min y + i, so the
+    sum holds min x + min y + i just when r_i > 0.  Each operand is packed
+    into a Decimal at t = 10**k, so slot i is digits k*i .. k*i + k - 1;
+    the C decimal module multiplies numbers this large by a
+    number-theoretic transform.  To the product is added the constant
+    with 10**(k-1) - 1 in every slot of the sum's span.
+
+    No slot carries.  In a pair (a, b) counted in r_i, a fixes b and b
+    fixes a, so r_i <= min(|x|, |y|) <= 9 * 10**(k-1), by the choice of k
+    in _slot_digits.  So slot i holds
+    r_i + 10**(k-1) - 1 <= 10**k - 1, which fits its k digits, and the
+    product plus the constant is the sum of those slot values times
+    10**(k*i), digit for digit.  The top digit of slot i is therefore
+    (r_i + 10**(k-1) - 1) // 10**(k-1), which is nonzero just when r_i >= 1.
+    The sum's top slot has r >= 1, so str() of the result has k digits a
+    slot, and reading every k-th digit from the k-th last reads the top
+    digits of slots 0, 1, 2, ... in order.
+
+    The route is priced like the dense route, with the product's digits in
+    place of the shifted copies (see the constants).  It is taken when that
+    is cheaper and the C module is there; see _slot_sum.  Without the
+    module its price still bounds the run count, which may then give up
+    on a sum the shift-or answers more slowly than the runs route would;
+    the sum is the same either way.
     """
     xs, ys = x._elems, y._elems
     lo = xs[0] + ys[0]
@@ -364,7 +457,14 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
     # shift the mask of xs once per element of ys, whichever way costs less
     if ny * (wx + _LOOP_BITS) > nx * (wy + _LOOP_BITS):
         xs, ys, nx, ny, wx = ys, xs, ny, nx, wy
-    dense = _SETUP_BITS + span * _CODEC_BITS + ny * (wx + _LOOP_BITS)
+    copies = ny * (wx + _LOOP_BITS)
+    # a slot takes at least one digit, so k is found only when one digit a
+    # slot would undercut the copies
+    k, digits = 0, copies
+    if _SETUP_BITS + span * _DIGIT_BITS < copies:
+        k = _slot_digits(min(nx, ny))
+        digits = _SETUP_BITS + k * span * _DIGIT_BITS
+    dense = _SETUP_BITS + span * _CODEC_BITS + min(copies, digits)
     pairs = _PAIR_BITS * nx * ny
     if dense >= _RUNS_MIN_BITS and pairs >= _RUNS_MIN_BITS:
         # the runs route wins just when r_x * r_y * _INTERVAL_BITS < min(dense,
@@ -373,7 +473,10 @@ def sumset(x: FinSet, y: FinSet) -> FinSet:
         if runs:
             return FinSet._from_sorted(_sum_of_runs(*runs))
     if dense <= pairs:
-        return _from_mask(_shift_or(_bit_mask(xs), wx, ys), lo)
+        if digits < copies and (flags := _slot_sum(xs, ys, k)) is not None:
+            return _from_flags(flags, lo)
+        mask = _shift_or(int(_flags(xs), 2), wx, ys)
+        return _from_flags(bin(mask)[:1:-1].encode().translate(_NONZERO), lo)
     if nx < ny:
         xs, ys = ys, xs
     out = set()

@@ -88,6 +88,13 @@ def wide_literal(seed, n):
     return "{" + ",".join(map(str, sorted(random.Random(seed).sample(range(10**17, 10**18), n)))) + "}"
 
 
+def random_fold(n, width, seed):
+    """kfold of {0, width} and n - 1 seeded points between, k as high as
+    the span cap of 10**6 allows."""
+    elems = sorted([0, width, *random.Random(seed).sample(range(1, width), n - 1)])
+    return ("kfold", "{" + ",".join(map(str, elems)) + "}", str((10**6 - 1) // width))
+
+
 @pytest.mark.parametrize("argv, reason", [
     (("bdim", "0..10000000"), "interval shorthand 0..10000000 spans"),
     (("bdim", "0..1000000000000"), "interval shorthand 0..1000000000000 spans"),
@@ -164,14 +171,26 @@ def measure_peak(*argv):
     (("kfold", "{0,1,1000}", "999"), None,
      "b61de406e8f2db621088624f0cf2e9d34dcb4f1ee1232a9044be2bff798ba0fe", 2, 120),
     # the slowest sums under their cap: 2,000,000 pairs of 18-digit
-    # elements on the hashed route, and an interval shifted once per
-    # element of an 18,182-element literal on the dense route
+    # elements on the hashed route, and an interval plus the 18,182
+    # multiples of 55, one run each, on the runs route
     (("sum", wide_literal(1, 1414), wide_literal(2, 1414)), None,
      "160fec49c6dd088f1e186140d7c44c142dc78bc193adb4c0765627a74b71f6e1", 8, 400),
     (("sum", "0..999999", "{" + ",".join(map(str, range(0, 10**6, 55))) + "}"), range(1999955),
      "3a7de014c552fd2f39477e13bd6f19477aad4000c32dbeabd10c52362cca273d", 5, 350),
+    # folds whose doublings keep thousands of runs, so their widest sums
+    # take a dense route: a 30-set of width 30,000, a 100-set of width
+    # 10,000 and a 3-set of width 3,000, and the slowest of 382 seeded
+    # folds at the cap, over 3 to 3,000 points and widths 30 to 300,000
+    (random_fold(30, 30_000, 1), None,
+     "8524ce7cb672c9de7a5944122d9b202a65248fe361cc21f2697df30df3c0bac2", 4, 180),
+    (random_fold(100, 10_000, 4), None,
+     "9c16585c3bfed19328dd18447256a019026aa03609b12c665bfc20c7eba291b3", 4, 200),
+    (random_fold(3, 3_000, 5), None,
+     "20aa8759a64c15cd05e8712e4d9bc6b710e1dab4ccbe4f3a4954b71b2abc3e8f", 4, 160),
+    (random_fold(6, 1_000, 3), None,
+     "c1bed3c0e603a70494af8824c0d29b5a13feb243e72bde4f862a52ffce07a325", 4, 180),
 ], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02", "kfold-100", "kfold-1000",
-         "sum-hashed", "sum-dense"])
+         "sum-hashed", "sum-runs", "kfold-30-set", "kfold-100-set", "kfold-3-set", "kfold-6-set"])
 def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # the widest operands the caps accept.  On a 2-vCPU host the dense route
     # took 49.5, 15.7, 16.0 and 8.1 s over the first four.  By runs, with
@@ -181,8 +200,12 @@ def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # {0,1} and the fold mapped back.  The next two took 14.0-14.8 and
     # 3.1-3.2 s while a fixed cap of 64 runs sent their folds to the dense
     # route; counted as far as the cost model can use them, they take
-    # 0.43-0.60 and 0.39-0.44 s and peak at 128 and 79 MB.  The last two
-    # take 2.7 s and 1.4-1.7 s and peak at 344 and 256 MB
+    # 0.43-0.60 and 0.39-0.44 s and peak at 128 and 79 MB.  The two slowest
+    # sums take 2.7 s and 0.6-0.9 s and peak at 344 and 254 MB.  The last
+    # four folds took 10.9, 2.0, 3.6 and 4.0 s while the shift-or was the
+    # one dense route; with one Decimal product for dense operands they
+    # take 1.2-1.4, 1.3, 1.1-1.2 and 1.6 s and peak at 127, 149, 110 and
+    # 131 MB
     stdout, elapsed, peak = measure_peak(*argv)
     if elems is not None:
         literal = "{" + ",".join(map(str, elems)) + "}"
@@ -553,6 +576,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, code, modules):
     # typing.Union in autos about 5 ms
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert "typing" not in loaded
+    # sumset imports the C decimal module only for a sum it multiplies, and
+    # none of these is that large
+    assert "decimal" not in loaded and "_decimal" not in loaded
 
 
 def test_bare_package_import_loads_no_submodule():

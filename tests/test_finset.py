@@ -1,6 +1,7 @@
 """Core set arithmetic: construction, sumsets, k-fold sums, parsing."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -192,17 +193,23 @@ def test_sumset_dual_path_wide_span(x, y):
 
 
 class RouteSpy:
-    """Tells the three sumset routes apart by the helper each one alone calls."""
+    """Tells the four sumset routes apart by the helper each one alone calls.
+
+    A helper counts only when it answers: _slot_sum returns None, and the
+    dense route answers, when the C decimal module is missing.
+    """
 
     def __init__(self, monkeypatch):
-        self.calls = {"dense": 0, "runs": 0}
-        for route, name in (("dense", "_shift_or"), ("runs", "_sum_of_runs")):
+        self.calls = {"dense": 0, "runs": 0, "decimal": 0}
+        for route, name in (("dense", "_shift_or"), ("runs", "_sum_of_runs"),
+                            ("decimal", "_slot_sum")):
             monkeypatch.setattr(finset, name, self._counted(route, getattr(finset, name)))
 
     def _counted(self, route, helper):
         def counted(*args):
-            self.calls[route] += 1
-            return helper(*args)
+            out = helper(*args)
+            self.calls[route] += out is not None
+            return out
 
         return counted
 
@@ -226,17 +233,22 @@ def force(mp, route):
     At one bit an interval sum, runs are always counted and always cheaper
     than the pairs, each of which costs more; at 2**128 bits, more than the
     dense estimate of any sum in range, the count gives up on its first
-    pair of runs.
+    pair of runs.  With no setup and no bits a digit, the Decimal route
+    costs nothing, less than any sum's shifted copies; at 2**64 bits a
+    digit, more than the copies of any sum in range, it is never taken.
     """
     if route == "runs":
         for name, value in (("_RUNS_MIN_BITS", 0), ("_INTERVAL_BITS", 1)):
             mp.setattr(finset, name, value)
     else:
         mp.setattr(finset, "_INTERVAL_BITS", 2**128)
-        mp.setattr(finset, "_PAIR_BITS", 2**64 if route == "dense" else 0)
+        mp.setattr(finset, "_PAIR_BITS", 0 if route == "hashed" else 2**64)
+        mp.setattr(finset, "_DIGIT_BITS", 0 if route == "decimal" else 2**64)
+        if route == "decimal":
+            mp.setattr(finset, "_SETUP_BITS", 0)
 
 
-ROUTES = ["dense", "hashed", "runs"]
+ROUTES = ["dense", "hashed", "runs", "decimal"]
 
 
 @pytest.mark.parametrize("route_name", ROUTES)
@@ -311,13 +323,80 @@ def test_long_runs_take_the_runs_route(route):
 
 
 def test_many_runs_fall_back_from_the_runs_route(route):
-    # about 10^4 runs each: r_x * r_y interval sums would cost more than the
-    # dense route, and the run count gives up long before it reaches them
+    # about 10^4 runs each: r_x * r_y interval sums would cost more than one
+    # Decimal product, and the run count gives up long before it reaches them
     rng = random.Random(13)
     x = make_set(rng.sample(range(40_000), 20_000))
     y = make_set(rng.sample(range(40_000), 20_000))
-    s = route.sum(x, y, "dense")
+    s = route.sum(x, y, "decimal")
     assert (s.min, s.max) == (x.min + y.min, x.max + y.max)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 64, 1024])
+def test_shift_or_gathers_copies_in_blocks_of_any_size(monkeypatch, block):
+    # every block size ORs the same copies: small ones flush a partial at
+    # nearly every offset, the default floor keeps one partial for these
+    monkeypatch.setattr(finset, "_BLOCK_BITS", block)
+    rng = random.Random(block)
+    for _ in range(50):
+        width = rng.randint(1, 300)
+        mask = rng.getrandbits(width) | 1 << (width - 1) | 1
+        offsets = tuple(sorted(rng.sample(range(-500, 500), rng.randint(1, 40))))
+        expected = 0
+        for d in offsets:
+            expected |= mask << (d - offsets[0])
+        assert finset._shift_or(mask, width, offsets) == expected
+
+
+@pytest.mark.parametrize("m, k", [(9, 1), (10, 2), (90, 2), (91, 3), (900, 3), (901, 4),
+                                  (9000, 4), (9001, 5)])
+def test_decimal_route_at_the_slot_width_edges(monkeypatch, m, k):
+    # min(|X|, |Y|) = m, and Y holds 3m - X, so the slot of 3m counts all m
+    # pairs (v, 3m - v): the most that k digits must hold with no carry,
+    # where k - 1 digits could not
+    assert finset._slot_digits(m) == k and 9 * 10 ** (k - 2) < m <= 9 * 10 ** (k - 1)
+    rng = random.Random(m)
+    x = make_set(rng.sample(range(3 * m), m))
+    y = make_set([3 * m - v for v in x] + rng.sample(range(3 * m), m // 2))
+    assert min(len(x), len(y)) == m
+    if m < 1000:
+        expected = sumset_naive(x, y)
+    else:
+        # too many pairs for the oracle: the dense route, pinned, checks them
+        with pytest.MonkeyPatch.context() as mp:
+            force(mp, "dense")
+            expected = sumset(x, y)
+    force(monkeypatch, "decimal")
+    assert RouteSpy(monkeypatch).sum(x, y, "decimal") == expected
+
+
+def test_decimal_route_on_random_dense_sums(monkeypatch):
+    rng = random.Random(15)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 1500)
+        span = rng.randint(n, 3 * n)
+        cases.append((make_set(rng.sample(range(span), n)),
+                      make_set(rng.sample(range(-span, span), rng.randint(1, min(2 * span, 1500))))))
+    force(monkeypatch, "decimal")
+    spy = RouteSpy(monkeypatch)
+    for x, y in cases:
+        assert spy.sum(x, y, "decimal") == sumset_naive(x, y), (x, y)
+
+
+def test_no_decimal_route_without_the_c_module(monkeypatch):
+    # dense operands of 2 * 10^4 elements take the Decimal route; without the
+    # C module the shift-or answers them, and every sum is unchanged
+    rng = random.Random(13)
+    big = (make_set(rng.sample(range(40_000), 20_000)), make_set(rng.sample(range(40_000), 20_000)))
+    small = [(make_set(rng.sample(range(50), 20)), make_set(rng.sample(range(80), 30)))
+             for _ in range(20)]
+    expected = [sumset(x, y) for x, y in [big, *small]]
+    monkeypatch.setitem(sys.modules, "_decimal", None)
+    spy = RouteSpy(monkeypatch)
+    assert spy.sum(*big, "dense") == expected[0]
+    force(monkeypatch, "decimal")
+    assert [spy.sum(x, y, "dense") for x, y in small] == expected[1:]
 
 
 def test_dense_route_above_two_to_the_twenty(route):
@@ -369,7 +448,7 @@ def test_every_route_names_the_same_element_past_the_range(x, y):
         messages.append(str(err.value))
     with pytest.raises(OverflowError) as err:
         make_set(sorted({a + b for a in x for b in y}))
-    assert messages == [str(err.value)] * 3
+    assert messages == [str(err.value)] * len(ROUTES)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 160_000), (-160_000, -7), (-(2**40), 5000 - 2**40)])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .finset import FinSet, _Record, bounds, interval, kfold, reflect, sumset
+from .finset import FinSet, _as_int, _Record, bounds, interval, kfold, reflect, sumset
 from .monoid import ZeroSet, as_zero_set, candidates_with_bounds, is_atom
 
 STEP_UP = ZeroSet((0, 1))
@@ -202,11 +202,11 @@ def _random_zero_set(rng: random.Random, lo: int, hi: int) -> ZeroSet:
     return ZeroSet(elems)
 
 
-def _require_samples(samples: int) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise TypeError(f"samples must be an integer, got {samples!r}")
+def _require_samples(samples: int) -> int:
+    samples = _as_int(samples, "samples must be an integer")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    return samples
 
 
 def absorption_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
@@ -215,7 +215,7 @@ def absorption_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     Raises ValueError for ``samples < 1``, which would check nothing, and
     TypeError for a bool or any other non-int.
     """
-    _require_samples(samples)
+    samples = _require_samples(samples)
     rng = random.Random(seed)
     sets = [_random_zero_set(rng, -20, 20) for _ in range(samples)]
     t_id = transport_from_images(STEP_UP, STEP_DOWN)
@@ -279,7 +279,7 @@ def rigidity_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     for ``samples < 1``, which would leave only the fixed probe, and
     TypeError for a bool or any other non-int.
     """
-    _require_samples(samples)
+    samples = _require_samples(samples)
     checks = []
 
     cands = candidates_with_bounds(-1, 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .finset import _INT_ONLY, FinSet, _Record
+from .finset import _INT_ONLY, FinSet, _as_int, _Record
 
 
 class RunProfile(_Record):
@@ -65,11 +65,9 @@ def from_runs(pairs) -> FinSet:
     or a string raises TypeError.
     """
     pairs = [(lo, hi) for lo, hi in pairs]
-    # one pass over the types in C; a subclass of int other than bool passes
+    # one pass over the types in C; only other types take the per-end check
     if set(map(type, chain.from_iterable(pairs))) != _INT_ONLY:
-        for v in chain.from_iterable(pairs):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"run ends must be integers, got {v!r}")
+        pairs = [tuple(_as_int(v, "run ends must be integers") for v in run) for run in pairs]
     if not pairs:
         raise ValueError("a run profile needs at least one run")
     elems = []

@@ -33,6 +33,16 @@ slot for ``Decimal``, and a sum is decoded by compressing a ``range`` with
 the bytes of ``bin(mask)``, or with every k-th digit of ``str()``.
 Results that are already sorted and distinct skip validation through a
 trusted constructor that range-checks only the two ends.
+
+Every entry point takes exact integers by one rule: a bool, which would
+act as 0 or 1, and anything that is not an int raise TypeError, and an int
+subclass is stored as the int it equals, so a set formats and parses back
+as itself.  A result that leaves the range raises OverflowError.  The
+builders whose results come out sorted (the sums, :func:`kfold`,
+:func:`interval`, :func:`translate`, :func:`reflect` and
+``boxing.from_runs``) name its least element past the range.  The
+constructor takes its values in any order and names the first bad value
+in that order instead.
 """
 
 from __future__ import annotations
@@ -98,6 +108,13 @@ _ONE = ord("1")
 _NONZERO = bytes.maketrans(b"0123456789", b"\0" + b"\1" * 9)
 
 
+def _as_int(value, what: str) -> int:
+    """value as an exact int; a bool or any non-int raises TypeError (see the module docstring)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what}, got {value!r}")
+    return int(value)
+
+
 class FinSet:
     """Immutable nonempty finite set of integers, stored sorted.
 
@@ -111,7 +128,8 @@ class FinSet:
         if not isinstance(values, (list, tuple)):
             values = list(values)
         # exact ints only: a bool or a float would hash equal to an int and
-        # vanish into the set before the per-element check could refuse it
+        # vanish into the set before the per-element check could refuse it,
+        # and an int subclass would be stored as itself, not as an int
         if set(map(type, values)) == _INT_ONLY:
             elems = sorted(set(values))
             if -MAX_ELEMENT <= elems[0] and elems[-1] <= MAX_ELEMENT:
@@ -119,8 +137,7 @@ class FinSet:
                 return
         seen = set()
         for v in values:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"set elements must be integers, got {v!r}")
+            v = _as_int(v, "set elements must be integers")
             if v > MAX_ELEMENT or v < -MAX_ELEMENT:
                 raise OverflowError(f"element {v} outside the supported integer range")
             seen.add(v)
@@ -206,9 +223,7 @@ def interval(lo: int, hi: int) -> FinSet:
     rule of _progression with d = 1: it names lo when lo is out of range,
     and MAX_ELEMENT + 1 otherwise.
     """
-    for end in (lo, hi):
-        if isinstance(end, bool) or not isinstance(end, int):
-            raise TypeError(f"interval ends must be integers, got {end!r}")
+    lo, hi = (_as_int(end, "interval ends must be integers") for end in (lo, hi))
     if lo > hi:
         raise ValueError(f"empty interval [{lo},{hi}]")
     return _progression(lo, hi, 1)
@@ -237,23 +252,15 @@ def bounds(x: FinSet) -> tuple[int, int]:
 
 
 def translate(x: FinSet, t: int) -> FinSet:
-    """x + t elementwise."""
-    if type(t) is int and -MAX_ELEMENT <= x.min + t and x.max + t <= MAX_ELEMENT:
-        return FinSet._from_sorted(tuple(map(t.__add__, x.elems)))
-    # a bool would shift as 0 or 1; the validating constructor raises as for
-    # any other input
-    if isinstance(t, bool):
-        raise TypeError(f"shift must be an integer, got {t!r}")
-    return FinSet(v + t for v in x)
+    """x + t elementwise; a result that leaves the range names its least element past it."""
+    t = _as_int(t, "shift must be an integer")
+    return FinSet._from_sorted(tuple(map(t.__add__, x.elems)))
 
 
 def reflect(x: FinSet, t: int) -> FinSet:
-    """t - x elementwise (reflection through t/2)."""
-    if type(t) is int and -MAX_ELEMENT <= t - x.max and t - x.min <= MAX_ELEMENT:
-        return FinSet._from_sorted(tuple(map(t.__sub__, reversed(x.elems))))
-    if isinstance(t, bool):
-        raise TypeError(f"reflection offset must be an integer, got {t!r}")
-    return FinSet(t - v for v in x)
+    """t - x elementwise (reflection through t/2), refused as translate refuses."""
+    t = _as_int(t, "reflection offset must be an integer")
+    return FinSet._from_sorted(tuple(map(t.__sub__, reversed(x.elems))))
 
 
 def sumset_naive(x: FinSet, y: FinSet) -> FinSet:
@@ -520,8 +527,7 @@ def kfold(x: FinSet, k: int) -> FinSet:
     when that is out of range, and k*max x otherwise: the least fold
     element above the range would need the fold itself.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"fold count must be an integer, got {k!r}")
+    k = _as_int(k, "fold count must be an integer")
     if k < 0:
         raise ValueError("fold count must be nonnegative")
     # imported here, so that a process that folds nothing, such as every

@@ -139,7 +139,10 @@ l << s with l < 2^(m-s).  max Y <= m - t iff Y holds none of
 m - t + 1 .. m, the values of hi bits m - t .. m - 1, that is iff Y's hi is
 below 2^(m-t).  So the partners of X are exactly the (h << m) | (l << s)
 with h < 2^(m-t) and l < 2^(m-s), and as l << s < 2^m, looping h, then l,
-lists them in ascending order.  The build keeps the partners at or above
+lists them in ascending order.  That list runs h-major, so h < 2^(m-t) is
+a prefix of it: the partners for bounds (-s, t) are the first
+2^(m-t) * 2^(m-s) = 2^(2m-s-t) entries of those for (-s, 0), and the build
+keeps one list per s and slices it.  It keeps the partners at or above
 X's own index, row by row in index order, so pair_sums is listed row by
 row with partners ascending: its keys come sorted.
 """
@@ -151,6 +154,7 @@ from collections.abc import Sequence
 from math import factorial, prod
 from operator import eq, index
 
+from .finset import _as_int
 from .monoid import ZeroSet
 
 MAX_WINDOW = 6
@@ -175,15 +179,15 @@ class WindowUniverse:
 
     Element i holds the b-th of the nonzero values [-m..-1, 1..m] exactly
     when bit b of i is set.  m must be an int, not a bool: anything else
-    raises TypeError.
+    raises TypeError, and an int subclass is kept as the int it equals.
 
     pair_sums maps each in-window pair (i, j), i <= j, to the index of its
     sum, listed row by row with i ascending and each row's partners
     ascending, so its keys are sorted.  A set with bounds (-s, t) has as
     in-window partners exactly the j = (h << m) | (l << s) with
     h < 2^(m-t) and l < 2^(m-s), which looping h, then l, lists in
-    ascending order; the module docstring proves this from the index
-    layout.
+    ascending order, as a prefix of the list for bounds (-s, 0); the module
+    docstring proves this from the index layout.
 
     The partial table is built with no set sum.  Each element X gets the
     code c(X) = sum of 2^(w(v+m)) over its values v, with slot width
@@ -199,11 +203,9 @@ class WindowUniverse:
     __slots__ = ("m", "elements", "index", "pair_sums")
 
     def __init__(self, m: int):
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise TypeError(f"window radius must be an integer, got {m!r}")
+        self.m = m = _as_int(m, "window radius must be an integer")
         if not 1 <= m <= MAX_WINDOW:
             raise ValueError(f"window radius must be in 1..{MAX_WINDOW}")
-        self.m = m
         # element i = (hi << m) | lo holds the values -m + b for the bits b
         # of lo, then 0, then 1 + b for the bits b of hi; its code has a
         # 1 in slot v + m, w bits wide, for each of its values v
@@ -219,10 +221,11 @@ class WindowUniverse:
         # one int object per index, shared by every table that names it
         ids = list(range(len(elems)))
         self.index = dict(zip(elems, ids))
-        # the partners of a set with bounds (-s, t), ascending, read off the
-        # index bits (the module docstring proves the rule)
-        partners = {(s, t): [ids[h << m | l << s] for h in range(1 << m - t) for l in range(1 << m - s)]
-                    for s in range(m + 1) for t in range(m + 1)}
+        # the partners of a set with bounds (-s, 0), ascending, read off the
+        # index bits; those of bounds (-s, t) are its first 2^(2m-s-t) (the
+        # module docstring proves both)
+        cols = [[ids[h << m | l << s] for h in range(1 << m) for l in range(1 << m - s)]
+                for s in range(m + 1)]
         # no slot of an in-window product carries (see the class docstring),
         # so its slots' top bits are the sum's code shifted up by shift bits
         ones = sum(1 << w * s for s in range(4 * m + 1))
@@ -231,7 +234,7 @@ class WindowUniverse:
         by_mark = {c << shift: k for k, c in zip(ids, codes)}
         self.pair_sums = {(i, j): by_mark[keep & offset + ci * codes[j]]
                           for i, e, ci in zip(ids, elems, codes)
-                          for j in partners[-e[0], e[-1]] if i <= j}
+                          for j in cols[-e[0]][:1 << 2 * m + e[0] - e[-1]] if i <= j}
 
 
 # build_window(m) is WindowUniverse(m), under the name the package exported first

@@ -24,6 +24,8 @@ from powermonoid import (
     translate,
 )
 from powermonoid.boxing import runs
+from powermonoid.monoid import ZeroSet
+from powermonoid.search import WindowUniverse
 
 
 def test_construction_normalizes_and_sorts():
@@ -54,6 +56,33 @@ def test_non_integer_rejected_whatever_the_order():
         FinSet([1.5, MAX_ELEMENT + 1])
     with pytest.raises(OverflowError, match=str(MAX_ELEMENT + 1)):
         FinSet([MAX_ELEMENT + 1, 1.5])
+
+
+def test_int_subclasses_are_stored_as_ints():
+    # a subclass that prints otherwise would format a set parse_set refuses
+    class Weird(int):
+        def __str__(self):
+            return "w"
+
+        __repr__ = __str__
+
+    def exact(values):
+        return [type(v) for v in values] == [int] * len(values)
+
+    x = FinSet([Weird(3), 1])
+    assert x.elems == (1, 3) and exact(x.elems)
+    assert parse_set(format_set(x)) == x
+    z = ZeroSet([Weird(0), Weird(-2)])
+    assert z.elems == (-2, 0) and exact(z.elems)
+    assert parse_set(format_set(z)) == z
+    for y, elems in ((interval(Weird(1), Weird(3)), (1, 2, 3)),
+                     (kfold(make_set([0, 1]), Weird(2)), (0, 1, 2)),
+                     (translate(make_set([0, 2]), Weird(1)), (1, 3)),
+                     (reflect(make_set([0, 2]), Weird(3)), (1, 3))):
+        assert y.elems == elems and exact(y.elems)
+        assert parse_set(format_set(y)) == y
+    u = WindowUniverse(Weird(1))
+    assert type(u.m) is int and u.m == 1
 
 
 def test_int_subclasses_and_generators_accepted():
@@ -124,21 +153,25 @@ def test_translate_and_reflect():
 
 
 def test_translate_and_reflect_validate_like_the_constructor():
-    # the trusted route covers int shifts inside the range; anything else but
-    # a bool is built by the validating constructor and raises as it does
+    # a result past the range names its least element past it, as the
+    # constructor names the first bad element of the sorted values
     top = make_set([MAX_ELEMENT - 2, MAX_ELEMENT - 1, MAX_ELEMENT])
     bottom = make_set([-MAX_ELEMENT, -MAX_ELEMENT + 1, 0, MAX_ELEMENT])
     for build, x, t, values in (
-        (translate, top, 2, (v + 2 for v in top)),
-        (reflect, bottom, MAX_ELEMENT, (MAX_ELEMENT - v for v in bottom)),
-        (translate, top, 0.5, (v + 0.5 for v in top)),
-        (reflect, bottom, -1, (-1 - v for v in bottom)),
+        (translate, top, 2, [v + 2 for v in top]),
+        (reflect, bottom, MAX_ELEMENT, [MAX_ELEMENT - v for v in bottom]),
+        (reflect, bottom, -1, [-1 - v for v in bottom]),
     ):
-        with pytest.raises((OverflowError, TypeError)) as trusted:
+        with pytest.raises(OverflowError) as trusted:
             build(x, t)
-        with pytest.raises(trusted.type) as validated:
-            make_set(values)
+        with pytest.raises(OverflowError) as validated:
+            make_set(sorted(values))
         assert str(trusted.value) == str(validated.value)
+    with pytest.raises(OverflowError, match="^element 18446744073709551613 outside"):
+        reflect(bottom, MAX_ELEMENT)
+    # a shift that is not an int is refused before any element is built
+    with pytest.raises(TypeError, match=r"^shift must be an integer, got 0\.5$"):
+        translate(top, 0.5)
     assert translate(top, -MAX_ELEMENT).elems == (-2, -1, 0)
     assert reflect(bottom, 0).elems == (-MAX_ELEMENT, 0, MAX_ELEMENT - 1, MAX_ELEMENT)
     # a bool would act as 0 or 1, so it is refused before any element is built

@@ -74,8 +74,6 @@ _EXPORTS = {
         "OrientationError",
         "first_divergence",
         "induction_measure",
-        "random_run_end_pair",
-        "random_run_start_pair",
         "run_end_witness",
         "run_start_witness",
     ),

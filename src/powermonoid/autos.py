@@ -213,8 +213,9 @@ def absorption_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
     """Random-instance checks of the absorption identity and bound transport.
 
     Raises ValueError for ``samples < 1``, which would check nothing, and
-    TypeError for a bool or any other non-int.
+    TypeError for a bool or any other non-int seed or samples.
     """
+    seed = _as_int(seed, "seed must be an integer")
     samples = _require_samples(samples)
     rng = random.Random(seed)
     sets = [_random_zero_set(rng, -20, 20) for _ in range(samples)]
@@ -277,8 +278,9 @@ def rigidity_suite(seed: int = 0, samples: int = 500) -> list[CheckResult]:
 
     Failures are reported in the results, not raised.  Raises ValueError
     for ``samples < 1``, which would leave only the fixed probe, and
-    TypeError for a bool or any other non-int.
+    TypeError for a bool or any other non-int seed or samples.
     """
+    seed = _as_int(seed, "seed must be an integer")
     samples = _require_samples(samples)
     checks = []
 

@@ -23,10 +23,10 @@ and Y's pool, the one walked subset by subset, is the smaller.  Only the
 two factors of equal min and equal span share a branch; it yields them in
 both orders, and the lexicographically larger order is dropped.
 
-A pair costs little past its discovery: each Z is emitted as its ascending
-element tuple, in order and with no sort; the pairs are sorted once as
-plain tuples of element tuples; and each distinct factor then becomes one
-ZeroSet, shared by every pair that holds it.
+A pair costs little past its discovery: Y and each Z are emitted as their
+ascending element tuples, each Z in order and with no sort; the pairs are
+sorted once as plain tuples of element tuples; and each distinct factor
+then becomes one ZeroSet, shared by every pair that holds it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 
-from .finset import FinSet
+from .finset import FinSet, _as_int
 
 # Intervals near this size have millions of factorizations, and the search
 # runs at least as long as its output; refuse past this size unless the
@@ -74,16 +74,17 @@ def _check_cap(x: ZeroSet, max_size: int) -> None:
         raise ValueError(f"set has {len(x)} elements, above the enumeration cap {max_size}")
 
 
-def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, tuple[int, ...], int, list[tuple[int, int]]]]:
+def _pinned(x: ZeroSet) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int, list[tuple[int, int]]]]:
     """Every narrower factor Y != {0} of x, and what its cofactor Z may hold.
 
     Masks index x's elements by position, bit i for the i-th smallest, so
     their width is |x| whatever the span.  Yields (Y, forced, cover,
-    candidates): forced is the sorted elements of {c, 0, d}, cover the mask
-    of Y + forced, and each candidate (z, mask) an optional z with Y + z
-    inside x.  The Z with Y + Z = x are exactly forced plus the candidates
-    whose masks complete cover to the full mask, and only Y for which some
-    Z exists (forced plus all candidates) are yielded.
+    candidates): Y as its sorted element tuple, forced the sorted elements
+    of {c, 0, d}, cover the mask of Y + forced, and each candidate
+    (z, mask) an optional z with Y + z inside x.  The Z with Y + Z = x are
+    exactly forced plus the candidates whose masks complete cover to the
+    full mask, and only Y for which some Z exists (forced plus all
+    candidates) are yielded.
 
     The branch (a, b) = (min Y, max Y) is taken only when Y is no wider
     than Z, b - a <= d - c, which is 2(b - a) <= max x - min x, and on a
@@ -128,14 +129,14 @@ def _pinned(x: ZeroSet) -> Iterator[tuple[ZeroSet, tuple[int, ...], int, list[tu
             cands = [(z, pos[z + a] | pos[z] | pos[z + b]) for z in pz]
             # grow Y one pool element at a time, each subset once; a
             # candidate z leaves for good once some y + z falls outside x
-            stack = [(0, (a, 0, b), cover, cands)]
+            stack = [(0, tuple(sorted({a, 0, b})), cover, cands)]
             while stack:
                 i, ys, cover, cands = stack.pop()
                 reach = cover
                 for _, m in cands:
                     reach |= m
                 if reach == full:
-                    yield ZeroSet(ys), tuple(sorted({c, 0, d})), cover, cands
+                    yield tuple(sorted(ys)), tuple(sorted({c, 0, d})), cover, cands
                 for j in range(i, len(py)):
                     y = py[j]
                     stack.append((
@@ -200,19 +201,17 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
     intervals its cost follows the number of pairs returned, and on sparse
     atoms it is nearly constant.
 
-    The pairs are collected as element tuples, which _covers already
-    builds in order, and sorted once as plain tuples.  Each distinct factor
-    is then one ZeroSet, shared by every pair that holds it: the Y objects
-    _pinned made, and one new object for each other element tuple.
+    The pairs are collected as element tuples, which _pinned and _covers
+    build, and sorted once as plain tuples.  Each distinct factor is then
+    one ZeroSet, made in that final pass and shared by every pair that
+    holds it.  A bool or non-int max_size raises TypeError.
     """
+    max_size = _as_int(max_size, "max_size must be an integer")
     x = as_zero_set(x)
     _check_cap(x, max_size)
     target = (1 << len(x)) - 1
     found = []
-    factors = {}
-    for y, forced, cover, cands in _pinned(x):
-        ye = y.elems
-        factors[ye] = y
+    for ye, forced, cover, cands in _pinned(x):
         # when Z has Y's bounds the branch yields the pair both ways round,
         # so keep the ordered one; any other pair comes once, so swap it
         twin = forced[0] == ye[0] and forced[-1] == ye[-1]
@@ -225,6 +224,7 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
         return found
     found.sort()
     new = ZeroSet._from_sorted
+    factors = {}
     get = factors.get
     pairs = []
     for ye, ze in found:
@@ -239,7 +239,13 @@ def factorizations(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> list[tuple[Ze
 
 
 def is_atom(x: FinSet, max_size: int = DEFAULT_MAX_SIZE) -> bool:
-    """True when x is an atom: not the unit and with no nontrivial factorization."""
+    """True when x is an atom: not the unit and with no nontrivial factorization.
+
+    The walk stops at the first factor Y that _pinned yields, an element
+    tuple, so it builds no ZeroSet.  A bool or non-int max_size raises
+    TypeError, even for the unit.
+    """
+    max_size = _as_int(max_size, "max_size must be an integer")
     x = as_zero_set(x)
     if x == UNIT:
         return False

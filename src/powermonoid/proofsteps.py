@@ -16,11 +16,10 @@ followed by that interval, and needs no second sum.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from enum import Enum
 
-from .boxing import bdim, from_runs, runs
+from .boxing import bdim, runs
 from .finset import FinSet, _Record, interval, sumset
 from .monoid import ZeroSet, as_zero_set
 
@@ -155,56 +154,3 @@ def run_end_witness(a: FinSet, b: FinSet, c: int | None = None) -> DivergenceWit
 def induction_measure(a: FinSet, b: FinSet) -> int:
     """bdim(a) + bdim(b), the quantity the descent shrinks."""
     return bdim(a) + bdim(b)
-
-
-def _random_profile(rng: random.Random, min_runs: int) -> list[tuple[int, int]]:
-    """Random run profile containing 0 with min < 0 < max."""
-    while True:
-        nr = rng.randint(min_runs, min_runs + 3)
-        pos = 0
-        raw = []
-        for _ in range(nr):
-            length = rng.randint(1, 4)
-            raw.append((pos, pos + length - 1))
-            pos += length - 1 + rng.randint(2, 5)
-        j0 = rng.randrange(nr)
-        lo, hi = raw[j0]
-        # anchor 0 strictly inside the overall span
-        lo_ok = lo + 1 if j0 == 0 else lo
-        hi_ok = hi - 1 if j0 == nr - 1 else hi
-        if lo_ok > hi_ok:
-            continue
-        shift = rng.randint(lo_ok, hi_ok)
-        return [(a - shift, b - shift) for a, b in raw]
-
-
-def random_run_start_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
-    """Seeded (A, B) pair diverging first at a run start, A oriented first."""
-    while True:
-        profile = _random_profile(rng, 2)
-        nr = len(profile)
-        u = rng.randint(1, nr - 1)
-        lo, hi = profile[u]
-        top = min(hi, 0 if lo <= 0 <= hi else hi)
-        if lo + 1 > top:
-            continue
-        delta = rng.randint(1, top - lo)
-        b_profile = list(profile)
-        b_profile[u] = (lo + delta, hi)
-        return as_zero_set(from_runs(profile)), as_zero_set(from_runs(b_profile))
-
-
-def random_run_end_pair(rng: random.Random) -> tuple[ZeroSet, ZeroSet]:
-    """Seeded (A, B) pair diverging first at an interior run end, A oriented first."""
-    while True:
-        profile = _random_profile(rng, 3)
-        nr = len(profile)
-        u = rng.randint(1, nr - 2)
-        lo, hi = profile[u]
-        bottom = max(lo, 0 if lo <= 0 <= hi else lo)
-        if bottom > hi - 1:
-            continue
-        delta = rng.randint(1, hi - bottom)
-        b_profile = list(profile)
-        b_profile[u] = (lo, hi - delta)
-        return as_zero_set(from_runs(profile)), as_zero_set(from_runs(b_profile))

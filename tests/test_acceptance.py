@@ -18,6 +18,7 @@ import operator
 import random
 import time
 
+from conftest import random_run_end_pair, random_run_start_pair
 from powermonoid import (
     Identity,
     MaxReflection,
@@ -36,8 +37,6 @@ from powermonoid import (
     kfold,
     make_set,
     negation_table,
-    random_run_end_pair,
-    random_run_start_pair,
     run_end_witness,
     run_start_witness,
     solve_step_preimage_system,

@@ -206,6 +206,9 @@ def test_suites_refuse_sample_counts_below_one(suite, samples):
     for bad in (True, 2.5, "3"):
         with pytest.raises(TypeError, match=f"samples must be an integer, got {bad!r}"):
             suite(seed=0, samples=bad)
+        # random.Random takes either, and the witness would echo it
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {bad!r}"):
+            suite(seed=bad, samples=1)
 
 
 @given(zero_sets(), zero_sets())

@@ -204,6 +204,11 @@ def test_enumeration_cap():
     small = as_zero_set([-1, 0, 1, 2])
     with pytest.raises(ValueError, match="cap"):
         factorizations(small, max_size=3)
+    # a bool cap would be named True, and 3.5 would run; the unit is no exception
+    for bad in (True, 3.5, "3"):
+        for call, x in ((factorizations, small), (is_atom, small), (is_atom, UNIT)):
+            with pytest.raises(TypeError, match=f"max_size must be an integer, got {bad!r}"):
+                call(x, max_size=bad)
 
 
 def test_zero_set_from_a_finset_keeps_its_elements():

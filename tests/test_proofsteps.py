@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import random_run_end_pair, random_run_start_pair
 from powermonoid import (
     Divergence,
     OrientationError,
@@ -15,8 +16,6 @@ from powermonoid import (
     induction_measure,
     interval,
     make_set,
-    random_run_end_pair,
-    random_run_start_pair,
     reflect,
     run_end_witness,
     run_start_witness,

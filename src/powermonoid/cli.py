@@ -220,7 +220,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
         LIST_MAX_WINDOW,
         MAX_WINDOW,
         ORACLE_MAX_WINDOW,
-        build_window,
+        WindowUniverse,
         find_window_automorphisms,
         window_survivors_oracle,
     )
@@ -237,7 +237,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, Iterator[str], int]:
         raise ValueError(
             f"--oracle is exhaustive over bijections; windows above {ORACLE_MAX_WINDOW} are not supported"
         )
-    u = build_window(args.window)
+    u = WindowUniverse(args.window)
     survivors = find_window_automorphisms(u)
     names = [str(e) for e in u.elements]
     payload: dict = {"m": args.window, "survivors": len(survivors), "elements": names}
@@ -334,7 +334,3 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -126,6 +126,10 @@ class FinSet:
 
     def __init__(self, values: Iterable[int]):
         if not isinstance(values, (list, tuple)):
+            if isinstance(values, FinSet):
+                # already validated and sorted: share its tuple
+                self._elems = values._elems
+                return
             values = list(values)
         # exact ints only: a bool or a float would hash equal to an int and
         # vanish into the set before the per-element check could refuse it,

@@ -48,14 +48,8 @@ class ZeroSet(FinSet):
     __slots__ = ()
 
     def __init__(self, values: Iterable[int]):
-        if isinstance(values, FinSet):
-            # already validated and sorted; membership bisects
-            self._elems = values.elems
-            has_zero = 0 in values
-        else:
-            super().__init__(values)
-            has_zero = 0 in self._elems
-        if not has_zero:
+        super().__init__(values)
+        if 0 not in self:
             raise ValueError("set does not contain 0")
 
 

@@ -170,9 +170,6 @@ LIST_MAX_WINDOW = 3
 # definition: feasible on the 16 elements of m=2, not the 64 of m=3
 ORACLE_MAX_WINDOW = 2
 
-_NOT_A_BIJECTION = "not a bijection table over the window"
-
-
 class WindowUniverse:
     """The window of radius m, 1 <= m <= MAX_WINDOW: all zero-anchored
     subsets of [[-m,m]] plus their partial Cayley table.
@@ -255,7 +252,7 @@ def verify_window_map(u: WindowUniverse, table) -> bool:
     except TypeError:
         permutes = False
     if not permutes:
-        raise ValueError(_NOT_A_BIJECTION)
+        raise ValueError("not a bijection table over the window")
     pair_sums = u.pair_sums
     return all(pair_sums.get((t[i], t[j]) if t[i] <= t[j] else (t[j], t[i])) == t[k]
                for (i, j), k in pair_sums.items())
@@ -479,8 +476,6 @@ class WindowMaps(Sequence):
         if not isinstance(other, (list, WindowMaps)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -189,8 +189,15 @@ def measure_peak(*argv):
      "20aa8759a64c15cd05e8712e4d9bc6b710e1dab4ccbe4f3a4954b71b2abc3e8f", 4, 160),
     (random_fold(6, 1_000, 3), None,
      "c1bed3c0e603a70494af8824c0d29b5a13feb243e72bde4f862a52ffce07a325", 4, 180),
+    # folds of sets whose gaps share a gcd of 2 and of 10, divided by it
+    # before the fold and scaled back after
+    (("kfold", "{0,2,6}", "166666"), None,
+     "428f25cdfdd1fc5108ef388389553eed3e36d71d2f28fb7862c231528efb5f77", 0.8, 100),
+    (("kfold", "{0,10,30,70}", "14285"), None,
+     "f525128a71e4d11bc25cb18f23b0937d97314f1b7448520d09b40d2796d149bf", 0.6, 40),
 ], ids=["sum-intervals", "kfold-01", "kfold-5", "kfold-02", "kfold-100", "kfold-1000",
-         "sum-hashed", "sum-runs", "kfold-30-set", "kfold-100-set", "kfold-3-set", "kfold-6-set"])
+         "sum-hashed", "sum-runs", "kfold-30-set", "kfold-100-set", "kfold-3-set", "kfold-6-set",
+         "kfold-gcd-2", "kfold-gcd-10"])
 def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # the widest operands the caps accept.  On a 2-vCPU host the dense route
     # took 49.5, 15.7, 16.0 and 8.1 s over the first four.  By runs, with
@@ -205,7 +212,9 @@ def test_near_cap_sums_finish_within_budget(argv, elems, digest, seconds, mb):
     # four folds took 10.9, 2.0, 3.6 and 4.0 s while the shift-or was the
     # one dense route; with one Decimal product for dense operands they
     # take 1.2-1.4, 1.3, 1.1-1.2 and 1.6 s and peak at 127, 149, 110 and
-    # 131 MB
+    # 131 MB.  The two gcd folds take 0.25-0.28 and 0.13-0.14 s and peak
+    # at 72 and 26 MB; folded without the division they took 1.14-1.21 and
+    # 0.88-0.99 s and peaked at 76 and 37 MB
     stdout, elapsed, peak = measure_peak(*argv)
     if elems is not None:
         literal = "{" + ",".join(map(str, elems)) + "}"
@@ -478,7 +487,7 @@ def test_search_refuses_before_it_builds_a_window(argv, stderr, monkeypatch, cap
     def building(m):
         raise AssertionError(f"built window {m} before refusing")
 
-    monkeypatch.setattr(search, "build_window", building)
+    monkeypatch.setattr(search, "WindowUniverse", building)
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr() == ("", stderr)
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import zero_sets
 from powermonoid import (
     UNIT,
+    FinSet,
     ZeroSet,
     as_zero_set,
     candidates_with_bounds,
@@ -215,5 +216,10 @@ def test_zero_set_from_a_finset_keeps_its_elements():
     x = make_set([-3, 0, 5])
     z = ZeroSet(x)
     assert type(z) is ZeroSet and z.elems == x.elems == ZeroSet([5, 0, -3]).elems
-    with pytest.raises(ValueError, match="does not contain 0"):
+    # a set built from a set shares its validated tuple, with no second sort
+    assert z.elems is x.elems
+    assert FinSet(x).elems is x.elems and type(FinSet(z)) is FinSet
+    assert make_set(x) == x
+    assert ZeroSet(z).elems is z.elems
+    with pytest.raises(ValueError, match="set does not contain 0"):
         ZeroSet(make_set([-3, 5]))
